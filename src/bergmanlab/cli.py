@@ -32,15 +32,21 @@ def _parse_m_values(args: argparse.Namespace) -> list[int]:
         )
     else:
         values = []
-    if values != sorted(values):
-        raise ValueError("m values must be ascending")
+    if any(b <= a for a, b in zip(values, values[1:])):
+        raise ValueError("m values must be strictly ascending")
     return values
 
 
-def _out_stream(path: str | None):
+def _write_out(path: str | None, text: str) -> None:
     if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w", newline="\n"), True
+        sys.stdout.write(text)
+        return
+    try:
+        fh = open(path, "w", newline="\n")
+    except OSError as exc:
+        raise ValueError(f"cannot write {path!r}: {exc.strerror}") from exc
+    with fh:
+        fh.write(text)
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -52,25 +58,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if not m_values:
         print("error: empty sweep", file=sys.stderr)
         return EXIT_USAGE
-    budget = gram.ErrorBudget(args.budget_c)
-    v_degrees = [int(t) for t in args.v_degrees.split(",") if t.strip()] if args.v_degrees else []
-
-    stream, close = _out_stream(args.out)
-    try:
-        try:
-            result = density.remainder_sweep(args.rho, m_values, budget, v_degrees)
-        except quadrature.QuadratureError as exc:
-            stream.write(density.CSV_HEADER + "\n")
-            stream.write(f"FAILED,{exc}\n")
-            print(f"error: quadrature failure: {exc}", file=sys.stderr)
-            return EXIT_FAIL
-        if args.format == "csv":
-            stream.write(density.sweep_to_csv(result))
-        else:
-            stream.write(density.sweep_to_json(result))
-    finally:
-        if close:
-            stream.close()
+    result = density.remainder_sweep(args.rho, m_values, gram.ErrorBudget(args.budget_c))
+    to_text = density.sweep_to_csv if args.format == "csv" else density.sweep_to_json
+    _write_out(args.out, to_text(result))
 
     envelope_ok = all(
         abs(rep.remainder) <= density.remainder_envelope(rep.m) for rep in result.reports
@@ -225,7 +215,7 @@ def cmd_cp1(args: argparse.Namespace) -> int:
 def cmd_moments(args: argparse.Namespace) -> int:
     geom = geometry.ModelGeometry(args.rho)
     cfg = quadrature.QuadratureConfig(rel_tol=args.rel_tol)
-    radius = args.radius if args.radius else quadrature.truncation_radius(args.m)
+    radius = args.radius if args.radius is not None else quadrature.truncation_radius(args.m)
     print("alpha,beta,re,im")
     for alpha in range(args.max_degree + 1):
         for beta in range(args.max_degree + 1):
@@ -234,7 +224,7 @@ def cmd_moments(args: argparse.Namespace) -> int:
             except quadrature.QuadratureError as exc:
                 print(f"error: {exc}", file=sys.stderr)
                 return EXIT_FAIL
-            print(f"{alpha},{beta},{val.real!r},{val.imag!r}")
+            print(f"{alpha},{beta},{val!r},0.0")
     return EXIT_OK
 
 
@@ -242,12 +232,7 @@ def cmd_gram(args: argparse.Namespace) -> int:
     geom = geometry.ModelGeometry(args.rho)
     degrees = [int(t) for t in args.degrees.split(",") if t.strip()] if args.degrees else []
     G = gram.assemble_truncated_gram(geom, args.m, degrees, gram.ErrorBudget(args.budget_c))
-    stream, close = _out_stream(args.out)
-    try:
-        stream.write(G.to_json() + "\n")
-    finally:
-        if close:
-            stream.close()
+    _write_out(args.out, G.to_json() + "\n")
     value, (lo, hi) = gram.schur_i00(G)
     print(f"I00 schur = {value!r} interval [{lo!r}, {hi!r}]")
     print(f"I00 solve = {gram.inverse00_oracle(G)!r}")
@@ -262,31 +247,27 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--rel-tol", type=float, default=1e-12)
-        p.add_argument("--eta", choices=("c1", "smooth"), default="c1")
-        p.add_argument("--seed", type=int, default=0)
-
     p_sweep = sub.add_parser("sweep", help="density sweep over m")
     p_sweep.add_argument("--rho", type=float, required=True)
-    p_sweep.add_argument("--m-range", help="LO:HI, log-spaced")
+    m_values = p_sweep.add_mutually_exclusive_group()
+    m_values.add_argument("--m-range", help="LO:HI, log-spaced")
     p_sweep.add_argument("--points", type=int, default=5)
-    p_sweep.add_argument("--m-list", help="comma-separated m values")
+    m_values.add_argument("--m-list", help="comma-separated, strictly ascending m values")
     p_sweep.add_argument("--budget-c", type=float, default=0.0)
-    p_sweep.add_argument("--v-degrees", help="comma-separated extra degrees >= 2")
     p_sweep.add_argument("--format", choices=("csv", "json"), default="csv")
     p_sweep.add_argument("--out", help="output path (default: stdout)")
-    common(p_sweep)
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_verify = sub.add_parser("verify", help="run all property suites")
-    common(p_verify)
+    p_verify.add_argument("--rel-tol", type=float, default=1e-12)
+    p_verify.add_argument("--eta", choices=("c1", "smooth"), default="c1")
+    p_verify.add_argument("--seed", type=int, default=0)
     p_verify.set_defaults(func=cmd_verify)
 
     p_cp1 = sub.add_parser("cp1", help="exact sphere-model density check")
     p_cp1.add_argument("--m", type=int, required=True)
     p_cp1.add_argument("--samples", type=int, default=20)
-    common(p_cp1)
+    p_cp1.add_argument("--seed", type=int, default=0)
     p_cp1.set_defaults(func=cmd_cp1)
 
     p_mom = sub.add_parser("moments", help="monomial moment table")
@@ -294,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_mom.add_argument("--m", type=int, required=True)
     p_mom.add_argument("--max-degree", type=int, default=3)
     p_mom.add_argument("--radius", type=float)
-    common(p_mom)
+    p_mom.add_argument("--rel-tol", type=float, default=1e-12)
     p_mom.set_defaults(func=cmd_moments)
 
     p_gram = sub.add_parser("gram", help="assemble and serialize a bordered Gram matrix")
@@ -303,7 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_gram.add_argument("--degrees", help="comma-separated extra degrees >= 2")
     p_gram.add_argument("--budget-c", type=float, default=1.0)
     p_gram.add_argument("--out", help="output path (default: stdout)")
-    common(p_gram)
     p_gram.set_defaults(func=cmd_gram)
 
     return parser

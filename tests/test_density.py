@@ -1,9 +1,12 @@
 import math
+from dataclasses import fields
 
+import numpy as np
 import pytest
 
 from bergmanlab.density import (
     CSV_HEADER,
+    DensityReport,
     cp1_density,
     cp1_density_terms,
     density_estimate,
@@ -14,7 +17,8 @@ from bergmanlab.density import (
     sweep_to_json,
 )
 from bergmanlab.geometry import ModelGeometry
-from bergmanlab.gram import ErrorBudget
+from bergmanlab.gram import ErrorBudget, assemble_truncated_gram, schur_i00
+from bergmanlab.quadrature import lambda0_tail
 
 ZERO = ErrorBudget(0.0)
 
@@ -108,10 +112,49 @@ def test_truncated_model_matches_cp1_at_center():
     # the sphere-model density estimate agrees with the exact global density
     # within the reported interval (the gap is the truncation tail)
     m = 50
-    rep = density_estimate(ModelGeometry(2.0), m, ZERO, v_degrees=list(range(2, 10)))
+    rep = density_estimate(ModelGeometry(2.0), m, ZERO)
     exact = cp1_density(m, 0j)
     half = 0.5 * (rep.hi - rep.lo)
     assert abs(rep.density - exact) <= half * (1.0 + 1e-9) + 1e-12
+
+
+def gram_route_estimate(geom, m, budget, extra_degrees):
+    """The density row rebuilt through the Gram matrix and its Schur corner."""
+    reference = expansion_reference(m, geom.rho)
+    t = lambda0_tail(geom, m)
+    lam0_sq = reference / (1.0 - t)
+    gram = assemble_truncated_gram(geom, m, extra_degrees, budget)
+    i00, (_, i00_hi) = schur_i00(gram)
+    density = i00 * lam0_sq
+    tail = reference * t / (1.0 - t)
+    half = (i00_hi - i00) * lam0_sq + tail
+    return DensityReport(
+        m=m,
+        rho=geom.rho,
+        density=density,
+        lo=density - half,
+        hi=density + half,
+        reference=reference,
+        remainder=(i00 - 1.0) * lam0_sq + tail,
+        budget_c=budget.c,
+    )
+
+
+@pytest.mark.parametrize("rho", [-2.0, -0.7, 0.0, 2.0])
+def test_closed_form_matches_gram_route(rho):
+    # I00 = 1 in closed form must reproduce the Gram/Schur route bit for bit
+    geom = ModelGeometry(rho)
+    ms = sorted({int(round(v)) for v in np.logspace(1, 18, 120)})
+    for c in (0.0, 1.0, 7.5):
+        budget = ErrorBudget(c)
+        for extra in ([], list(range(2, 10))):
+            for m in ms:
+                got = density_estimate(geom, m, budget)
+                want = gram_route_estimate(geom, m, budget, extra)
+                for f in fields(DensityReport):
+                    assert repr(getattr(got, f.name)) == repr(getattr(want, f.name)), (
+                        m, c, extra, f.name,
+                    )
 
 
 def test_remainder_sweep_flat():

@@ -30,6 +30,12 @@ def test_error_budget():
         ErrorBudget(-1.0)
 
 
+@pytest.mark.parametrize("c", [math.inf, math.nan, -math.inf])
+def test_error_budget_rejects_non_finite(c):
+    with pytest.raises(ValueError, match="finite"):
+        ErrorBudget(c)
+
+
 def test_bordered_gram_validation():
     with pytest.raises(ValueError):
         BorderedGram(entries=np.array([[1.0]]))
