@@ -26,7 +26,6 @@ from .geometry import (
     ModelGeometry,
     bundle_weight,
     curvature_residual,
-    k_coordinate_check,
     metric_density,
     polar_ode_residual,
 )

@@ -17,6 +17,8 @@ EXIT_USAGE = 2
 
 
 def _parse_m_values(args: argparse.Namespace) -> list[int]:
+    if args.points is not None and not args.m_range:
+        raise ValueError("--points is only read with --m-range")
     if args.m_list:
         values = [int(tok) for tok in args.m_list.split(",") if tok.strip()]
     elif args.m_range:
@@ -27,7 +29,9 @@ def _parse_m_values(args: argparse.Namespace) -> list[int]:
         values = sorted(
             {
                 int(round(v))
-                for v in np.logspace(math.log10(lo), math.log10(hi), args.points)
+                for v in np.logspace(
+                    math.log10(lo), math.log10(hi), 5 if args.points is None else args.points
+                )
             }
         )
     else:
@@ -182,6 +186,8 @@ _SUITES = [
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    if args.seed < 0:
+        raise ValueError("--seed must be >= 0")
     failures = []
     for name, suite in _SUITES:
         rng = random.Random(args.seed)
@@ -213,6 +219,8 @@ def cmd_cp1(args: argparse.Namespace) -> int:
 
 
 def cmd_moments(args: argparse.Namespace) -> int:
+    if args.max_degree < 0:
+        raise ValueError("--max-degree must be >= 0")
     geom = geometry.ModelGeometry(args.rho)
     cfg = quadrature.QuadratureConfig(rel_tol=args.rel_tol)
     radius = args.radius if args.radius is not None else quadrature.truncation_radius(args.m)
@@ -251,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--rho", type=float, required=True)
     m_values = p_sweep.add_mutually_exclusive_group()
     m_values.add_argument("--m-range", help="LO:HI, log-spaced")
-    p_sweep.add_argument("--points", type=int, default=5)
+    p_sweep.add_argument("--points", type=int, help="grid size for --m-range (default 5)")
     m_values.add_argument("--m-list", help="comma-separated, strictly ascending m values")
     p_sweep.add_argument("--budget-c", type=float, default=0.0)
     p_sweep.add_argument("--format", choices=("csv", "json"), default="csv")

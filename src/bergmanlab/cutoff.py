@@ -30,6 +30,11 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * math.pi
+# psi_hessian_bound_check grid: transition-annulus radii, angles per circle,
+# and the finite-difference step relative to the radius.
+RADIAL_POINTS = 24
+ANGULAR_POINTS = 6
+STEP_SCALE = 1e-3
 
 
 class PoleError(ValueError):
@@ -40,7 +45,6 @@ class CutoffProfile:
     """A cut-off equal to 1 on [0, 1/2] and 0 on [1, inf)."""
 
     name: str
-    d1_bound: float
     d2_bound: float
     knots: tuple[float, ...]
 
@@ -56,7 +60,6 @@ class CutoffProfile:
 
 class _PiecewiseQuadratic(CutoffProfile):
     name = "c1"
-    d1_bound = 4.0
     d2_bound = 8.0
     knots = (0.5, 1.0)
 
@@ -86,7 +89,6 @@ class _PiecewiseQuadratic(CutoffProfile):
 
 class _Smoothstep(CutoffProfile):
     name = "smooth"
-    d1_bound = 4.0
     d2_bound = 24.0
     knots = (0.5, 1.0)
 
@@ -126,29 +128,26 @@ def get_profile(name: str) -> CutoffProfile:
 
 @dataclass(frozen=True)
 class WeightParams:
-    """Order cap p', tensor power m, and (fixed) dimension n = 1."""
+    """Order cap p' and tensor power m, in dimension n = 1."""
 
     p_prime: int
     m: int
-    n: int = 1
 
     def __post_init__(self) -> None:
         if self.m < 2:
             raise ValueError("tensor power m must be >= 2")
         if self.p_prime < 1:
             raise ValueError("p_prime must be a positive integer")
-        if self.n != 1:
-            raise ValueError("only dimension 1 is modeled")
 
     @property
     def degree_factor(self) -> int:
-        return self.n + 2 * self.p_prime
+        return 1 + 2 * self.p_prime
 
     @property
     def meets_power_threshold(self) -> bool:
         # Advisory only; the asymptotic statements assume this but the weight
         # itself is well defined for any m >= 2.
-        return self.m > math.exp(8.0 * (self.p_prime - 1 + self.n))
+        return self.m > math.exp(8.0 * self.p_prime)
 
 
 def _psi_of_t(params: WeightParams, t: float, profile: CutoffProfile) -> float:
@@ -160,7 +159,7 @@ def _psi_of_t(params: WeightParams, t: float, profile: CutoffProfile) -> float:
 
 
 def psi(params: WeightParams, z: complex, profile: CutoffProfile = C1_PROFILE) -> float:
-    """(n + 2p') * eta(m|z|^2 / (log m)^2) * log(m|z|^2 / (log m)^2)."""
+    """(1 + 2p') * eta(m|z|^2 / (log m)^2) * log(m|z|^2 / (log m)^2)."""
     log_m = math.log(params.m)
     t = params.m * abs(z) ** 2 / log_m**2
     return _psi_of_t(params, t, profile)
@@ -179,11 +178,8 @@ def psi_hessian_bound_check(
     params: WeightParams,
     geom: ModelGeometry,
     profile: CutoffProfile = C1_PROFILE,
-    radial_points: int = 24,
-    angular_points: int = 6,
-    step_scale: float = 1e-3,
 ) -> HessianBoundCheck:
-    """Check d^2 Psi / dz dzbar >= -100 m (n+2p') / (log m)^2 * g / (2 pi).
+    """Check d^2 Psi / dz dzbar >= -100 m (1+2p') / (log m)^2 * g / (2 pi).
 
     The mixed derivative is one quarter of the 5-point Laplacian.  The bound
     is the curvature inequality written for the Kahler form convention
@@ -197,8 +193,8 @@ def psi_hessian_bound_check(
 
     # eta-argument values; offsets keep stencils off the knot circles.
     t_values = [0.12, 0.25, 0.40, 1.05, 1.15, 1.30]
-    for i in range(radial_points):
-        t_values.append(0.52 + (0.98 - 0.52) * i / max(radial_points - 1, 1))
+    for i in range(RADIAL_POINTS):
+        t_values.append(0.52 + (0.98 - 0.52) * i / (RADIAL_POINTS - 1))
 
     min_margin = math.inf
     min_observed = math.nan
@@ -208,10 +204,10 @@ def psi_hessian_bound_check(
         r = log_m * math.sqrt(t / m)
         if r <= log_m / (10.0 * math.sqrt(m)):
             continue  # too close to the pole
-        h = step_scale * r
+        h = STEP_SCALE * r
         geom.require_inside(r, margin=2.0 * h)
-        for j in range(angular_points):
-            theta = TWO_PI * (j + 0.5) / angular_points
+        for j in range(ANGULAR_POINTS):
+            theta = TWO_PI * (j + 0.5) / ANGULAR_POINTS
             x, y = r * math.cos(theta), r * math.sin(theta)
 
             def p(xx: float, yy: float) -> float:

@@ -18,7 +18,6 @@ __all__ = [
     "expansion_reference",
     "density_estimate",
     "cp1_density",
-    "cp1_density_terms",
     "remainder_sweep",
     "remainder_envelope",
     "sweep_to_csv",
@@ -94,37 +93,29 @@ def density_estimate(geom: ModelGeometry, m: int, budget: ErrorBudget) -> Densit
     )
 
 
-def cp1_density_terms(m: int, z: complex) -> list[float]:
-    """Per-degree contributions to the global density on the sphere model.
+def cp1_density(m: int, z: complex) -> float:
+    """Exact global density on the sphere model, summed term by term.
 
     Basis z^k, k = 0..m, with exact Beta-integral norms
-    lambda_k^-2 = k!(m-k)!/(m+1)!; each term is evaluated in log space.
+    lambda_k^-2 = k!(m-k)!/(m+1)!; each term is evaluated in log space.  The
+    analytic simplification is the constant m + 1 (equivalently
+    expansion_reference(m, 2)); the term sum must reproduce it, realizing the
+    expansion with identically zero remainder.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     s = abs(z) ** 2
-    log_s = math.log(s) if s > 0.0 else -math.inf
+    if s == 0.0:
+        return float(m + 1)
+    log_s = math.log(s)
     log_w = math.log1p(s)
-    terms = []
-    for k in range(m + 1):
-        if s == 0.0:
-            terms.append(float(m + 1) if k == 0 else 0.0)
-            continue
-        log_lambda_sq = (
-            math.lgamma(m + 2) - math.lgamma(k + 1) - math.lgamma(m - k + 1)
+    lgamma_m2 = math.lgamma(m + 2)
+    return math.fsum(
+        math.exp(
+            lgamma_m2 - math.lgamma(k + 1) - math.lgamma(m - k + 1) + k * log_s - m * log_w
         )
-        terms.append(math.exp(log_lambda_sq + k * log_s - m * log_w))
-    return terms
-
-
-def cp1_density(m: int, z: complex) -> float:
-    """Exact global density on the sphere model, summed term by term.
-
-    The analytic simplification is the constant m + 1 (equivalently
-    expansion_reference(m, 2)); the term sum must reproduce it, realizing the
-    expansion with identically zero remainder.
-    """
-    return math.fsum(cp1_density_terms(m, z))
+        for k in range(m + 1)
+    )
 
 
 def remainder_sweep(rho: float, m_list: list[int], budget: ErrorBudget) -> SweepResult:

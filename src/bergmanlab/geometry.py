@@ -11,8 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 __all__ = [
     "DomainError",
     "ModelGeometry",
@@ -22,8 +20,6 @@ __all__ = [
     "log_bundle_weight",
     "curvature_residual",
     "polar_ode_residual",
-    "k_coordinate_check",
-    "default_step",
 ]
 
 
@@ -33,30 +29,17 @@ class DomainError(ValueError):
 
 @dataclass(frozen=True)
 class ModelGeometry:
-    """Curvature parameter plus an optional user cap on the disk radius.
-
-    ``radius_cap`` stands in for an externally known injectivity radius; the
-    model itself cannot compute one.
-    """
+    """The curvature parameter rho of the model."""
 
     rho: float
-    radius_cap: float | None = None
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.rho):
             raise ValueError("curvature must be finite")
-        if self.radius_cap is not None and not self.radius_cap > 0:
-            raise ValueError("radius_cap must be positive")
 
     @property
     def max_radius(self) -> float:
-        if self.rho < 0:
-            natural = math.sqrt(-2.0 / self.rho)
-        else:
-            natural = math.inf
-        if self.radius_cap is None:
-            return natural
-        return min(natural, self.radius_cap)
+        return math.sqrt(-2.0 / self.rho) if self.rho < 0 else math.inf
 
     def require_inside(self, r: float, margin: float = 0.0) -> None:
         if r < 0 or not r + margin < self.max_radius:
@@ -64,11 +47,6 @@ class ModelGeometry:
                 f"radius {r!r} (+{margin!r}) outside model disk of radius "
                 f"{self.max_radius!r}"
             )
-
-
-def default_step(scale: float) -> float:
-    """Default finite-difference step: 1e-3 * max(1, scale)."""
-    return 1e-3 * max(1.0, abs(scale))
 
 
 def log_metric_density(geom: ModelGeometry, r: float) -> float:
@@ -101,15 +79,13 @@ def _log_g_xy(geom: ModelGeometry, x: float, y: float) -> float:
     return -2.0 * math.log1p(0.5 * geom.rho * (x * x + y * y))
 
 
-def curvature_residual(geom: ModelGeometry, z: complex, h: float | None = None) -> float:
+def curvature_residual(geom: ModelGeometry, z: complex, h: float) -> float:
     """Finite-difference residual of g^-1 d^2(log g)/dz dzbar + rho.
 
     The mixed Wirtinger derivative is taken as one quarter of the Euclidean
     Laplacian, evaluated with the standard 5-point stencil; the residual
     vanishes at rate O(h^2) for the exact model metric.
     """
-    if h is None:
-        h = default_step(abs(z))
     if h <= 0:
         raise ValueError("step must be positive")
     geom.require_inside(abs(z), margin=h * math.sqrt(2.0))
@@ -124,10 +100,8 @@ def curvature_residual(geom: ModelGeometry, z: complex, h: float | None = None) 
     return 0.25 * lap / metric_density(geom, z) + geom.rho
 
 
-def polar_ode_residual(geom: ModelGeometry, r: float, h: float | None = None) -> float:
+def polar_ode_residual(geom: ModelGeometry, r: float, h: float) -> float:
     """Finite-difference residual of g'' + g'/r - (g')^2/g + 4 rho g^2."""
-    if h is None:
-        h = default_step(r)
     if h <= 0:
         raise ValueError("step must be positive")
     if r - h <= 0:
@@ -139,27 +113,3 @@ def polar_ode_residual(geom: ModelGeometry, r: float, h: float | None = None) ->
     d1 = (gp - gm) / (2.0 * h)
     d2 = (gp - 2.0 * g0 + gm) / (h * h)
     return d2 + d1 / r - d1 * d1 / g0 + 4.0 * geom.rho * g0 * g0
-
-
-def k_coordinate_check(
-    geom: ModelGeometry, order: int, step: float = 1e-2, samples: int = 64
-) -> list[float]:
-    """Magnitudes of the pure holomorphic derivatives of g and a at 0.
-
-    Estimated from the angular Fourier coefficients of each field on the
-    circle |z| = step: the frequency-p coefficient equals the p-th pure
-    derivative times step^p / p! up to higher-order radial corrections.  Both
-    fields are radial, so every magnitude must vanish to sampling accuracy.
-    """
-    if not 1 <= order <= 4:
-        raise ValueError("order must be between 1 and 4")
-    geom.require_inside(step)
-    angles = 2.0 * math.pi * np.arange(samples) / samples
-    pts = step * np.exp(1j * angles)
-    out: list[float] = []
-    for field in (metric_density, bundle_weight):
-        vals = np.array([field(geom, z) for z in pts])
-        coeffs = np.fft.fft(vals) / samples
-        for p in range(1, order + 1):
-            out.append(abs(coeffs[p]) * math.factorial(p) / step**p)
-    return out

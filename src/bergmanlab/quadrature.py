@@ -47,16 +47,16 @@ _GK15 = (
 )
 
 
+MAX_PANELS = 60  # adaptive refinement stops with QuadratureError beyond this
+
+
 @dataclass(frozen=True)
 class QuadratureConfig:
     rel_tol: float = 1e-12
-    max_subdivisions: int = 60
 
     def __post_init__(self) -> None:
         if not 0.0 < self.rel_tol <= 1e-4:
             raise ValueError("rel_tol must lie in (0, 1e-4]")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be >= 1")
 
 
 class QuadratureError(RuntimeError):
@@ -93,20 +93,19 @@ def _gk_panel(logf, a: float, b: float) -> tuple[float, float]:
 
 
 def _adaptive(logf, a: float, b: float, cfg: QuadratureConfig) -> tuple[float, float]:
-    n0 = min(4, cfg.max_subdivisions)
     panels = []
-    for i in range(n0):
-        lo = a + (b - a) * i / n0
-        hi = a + (b - a) * (i + 1) / n0
+    for i in range(4):
+        lo = a + (b - a) * i / 4
+        hi = a + (b - a) * (i + 1) / 4
         panels.append((lo, hi, *_gk_panel(logf, lo, hi)))
     while True:
         total = math.fsum(p[2] for p in panels)
         err = math.fsum(p[3] for p in panels)
         if err <= cfg.rel_tol * abs(total):
             return total, err
-        if len(panels) >= cfg.max_subdivisions:
+        if len(panels) >= MAX_PANELS:
             raise QuadratureError(
-                f"no convergence within {cfg.max_subdivisions} panels "
+                f"no convergence within {MAX_PANELS} panels "
                 f"(error {err:.3e} on value {total:.6e})",
                 best=total,
                 abs_err=err,

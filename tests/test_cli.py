@@ -154,6 +154,28 @@ def test_sweep_m_list_excludes_m_range(capsys):
     assert "not allowed" in err
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["sweep", "--rho", "0", "--m-list", "100,1000", "--points", "7"], "--points"),
+        (["verify", "--seed", "-1"], "--seed"),
+        (["moments", "--rho", "0", "--m", "50", "--max-degree", "-1"], "--max-degree"),
+    ],
+    ids=["points-without-m-range", "negative-seed", "negative-max-degree"],
+)
+def test_bad_value_exits_2_before_output(argv, flag, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1 and flag in err
+
+
+def test_moments_reports_quadrature_failure(capsys):
+    code, _, err = run(["moments", "--rho", "0", "--m", "200", "--rel-tol", "1e-300"], capsys)
+    assert code == 1
+    assert err.startswith("error: no convergence within 60 panels")
+
+
 def test_moments_rejects_zero_radius(capsys):
     code, _, err = run(["moments", "--rho", "0", "--m", "50", "--radius", "0"], capsys)
     assert code == 2

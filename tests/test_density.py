@@ -1,4 +1,6 @@
 import math
+import random
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -8,7 +10,6 @@ from bergmanlab.density import (
     CSV_HEADER,
     DensityReport,
     cp1_density,
-    cp1_density_terms,
     density_estimate,
     expansion_reference,
     remainder_envelope,
@@ -85,8 +86,43 @@ def test_remainder_within_expansion_envelope(rho):
 
 def test_cp1_two_sections():
     assert cp1_density(1, 0j) == pytest.approx(2.0, rel=1e-14)
-    terms = cp1_density_terms(1, 0j)
-    assert terms == [2.0, 0.0]
+
+
+def cp1_term_list(m, z):
+    """The oracle's per-degree terms, built as a list in log space."""
+    s = abs(z) ** 2
+    log_s = math.log(s) if s > 0.0 else -math.inf
+    log_w = math.log1p(s)
+    terms = []
+    for k in range(m + 1):
+        if s == 0.0:
+            terms.append(float(m + 1) if k == 0 else 0.0)
+            continue
+        log_lambda_sq = math.lgamma(m + 2) - math.lgamma(k + 1) - math.lgamma(m - k + 1)
+        terms.append(math.exp(log_lambda_sq + k * log_s - m * log_w))
+    return terms
+
+
+def test_cp1_matches_term_list_route():
+    # the streamed sum reproduces the fsum of the term list bit for bit
+    rng = random.Random(0)
+    for m in list(range(1, 65)) + [1000, 12345, 10**5]:
+        zs = [0j]
+        for _ in range(8 if m <= 1000 else 2):
+            r, theta = rng.uniform(0.0, 3.0), rng.uniform(0.0, 2.0 * math.pi)
+            zs.append(complex(r * math.cos(theta), r * math.sin(theta)))
+        for z in zs:
+            assert repr(cp1_density(m, z)) == repr(math.fsum(cp1_term_list(m, z))), (m, z)
+
+
+def test_cp1_memory_does_not_grow_with_m():
+    tracemalloc.start()
+    try:
+        cp1_density(10**5, 0.3 + 0.4j)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
 
 
 def test_cp1_point_value():

@@ -8,8 +8,6 @@ from bergmanlab.geometry import (
     ModelGeometry,
     bundle_weight,
     curvature_residual,
-    default_step,
-    k_coordinate_check,
     metric_density,
     polar_ode_residual,
 )
@@ -37,7 +35,6 @@ def test_max_radius():
     assert FLAT.max_radius == math.inf
     assert SPHERE.max_radius == math.inf
     assert ModelGeometry(-0.5).max_radius == 2.0
-    assert ModelGeometry(2.0, radius_cap=0.3).max_radius == 0.3
 
 
 def test_domain_errors():
@@ -111,16 +108,3 @@ def test_residual_second_order_decay(rho):
 def test_metric_diverges_at_boundary():
     r = HYPERBOLIC.max_radius * (1.0 - 1e-4)
     assert metric_density(HYPERBOLIC, r) > 1e6
-
-
-def test_k_coordinate_check():
-    assert max(k_coordinate_check(FLAT, 2)) <= 1e-12
-    assert max(k_coordinate_check(HYPERBOLIC, 1)) <= 1e-8
-    assert max(k_coordinate_check(SPHERE, 3, step=1e-2)) <= 1e-6
-    with pytest.raises(ValueError):
-        k_coordinate_check(SPHERE, 5)
-
-
-def test_default_step():
-    assert default_step(0.2) == 1e-3
-    assert default_step(4.0) == 4e-3

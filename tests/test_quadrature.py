@@ -25,8 +25,6 @@ def test_config_validation():
         QuadratureConfig(rel_tol=1e-3)
     with pytest.raises(ValueError):
         QuadratureConfig(rel_tol=0.0)
-    with pytest.raises(ValueError):
-        QuadratureConfig(max_subdivisions=0)
 
 
 def test_flat_closed_form():
@@ -163,7 +161,8 @@ def test_peak_norm_bound_hyperbolic():
 
 
 def test_quadrature_failure_carries_best_estimate():
-    cfg = QuadratureConfig(rel_tol=1e-12, max_subdivisions=1)
+    # no panel count reaches a relative error of 1e-300
+    cfg = QuadratureConfig(rel_tol=1e-300)
     with pytest.raises(QuadratureError) as info:
         lambda_inv_sq(FLAT, 10**6, 0, truncation_radius(10**6), cfg)
     assert info.value.best > 0.0
