@@ -219,6 +219,8 @@ def cmd_cp1(args: argparse.Namespace) -> int:
 
 
 def cmd_moments(args: argparse.Namespace) -> int:
+    if args.m < 2:
+        raise ValueError("--m must be >= 2")
     if args.max_degree < 0:
         raise ValueError("--max-degree must be >= 0")
     geom = geometry.ModelGeometry(args.rho)

@@ -26,6 +26,8 @@ __all__ = [
 ]
 
 CSV_HEADER = "m,rho,density,lo,hi,reference,remainder"
+# exp underflows to 0.0 below -745.13; 55 more units of log clear the O(m eps) lgamma rounding
+LOG_FLOOR = -800.0
 
 
 def expansion_reference(m: int, rho: float) -> float:
@@ -94,28 +96,51 @@ def density_estimate(geom: ModelGeometry, m: int, budget: ErrorBudget) -> Densit
 
 
 def cp1_density(m: int, z: complex) -> float:
-    """Exact global density on the sphere model, summed term by term.
+    """Exact global density on the sphere model, summed over its live window.
 
     Basis z^k, k = 0..m, with exact Beta-integral norms
     lambda_k^-2 = k!(m-k)!/(m+1)!; each term is evaluated in log space.  The
     analytic simplification is the constant m + 1 (equivalently
     expansion_reference(m, 2)); the term sum must reproduce it, realizing the
     expansion with identically zero remainder.
+
+    The terms are m + 1 times a Binomial(m, s/(1+s)) mass, s = |z|^2, so their
+    log is concave in k.  The sum starts at the binomial mode and walks
+    outward on each side until the first log-term below LOG_FLOOR.  Near the
+    floor one step of k changes the log-term by far more than the O(m eps)
+    rounding of the lgamma expression, so every term beyond it has a log
+    below exp's underflow at -745.13 and is exactly 0.0.  fsum is exactly
+    rounded, so the window's sum equals the sum over all k = 0..m bit for bit.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    s = abs(z) ** 2
-    if s == 0.0:
-        return float(m + 1)
-    log_s = math.log(s)
-    log_w = math.log1p(s)
+    try:
+        s = abs(z) ** 2
+    except OverflowError:
+        # |z|^2 exceeds the float range, where log1p(s) rounds to log(s)
+        log_s = log_w = 2.0 * math.log(abs(z))
+        mode = m
+    else:
+        if s == 0.0:
+            return float(m + 1)
+        log_s = math.log(s)
+        log_w = math.log1p(s)
+        mode = min(m, int((m + 1) * (s / (1 + s))))
+    return math.fsum(_cp1_window_terms(m, log_s, log_w, mode))
+
+
+def _cp1_window_terms(m: int, log_s: float, log_w: float, mode: int):
+    """Terms of cp1_density from the mode outward, each side cut at LOG_FLOOR."""
     lgamma_m2 = math.lgamma(m + 2)
-    return math.fsum(
-        math.exp(
-            lgamma_m2 - math.lgamma(k + 1) - math.lgamma(m - k + 1) + k * log_s - m * log_w
-        )
-        for k in range(m + 1)
-    )
+    m_log_w = m * log_w
+    for side in (range(mode, m + 1), range(mode - 1, -1, -1)):
+        for k in side:
+            log_term = (
+                lgamma_m2 - math.lgamma(k + 1) - math.lgamma(m - k + 1) + k * log_s - m_log_w
+            )
+            if log_term < LOG_FLOOR:
+                break
+            yield math.exp(log_term)
 
 
 def remainder_sweep(rho: float, m_list: list[int], budget: ErrorBudget) -> SweepResult:

@@ -160,8 +160,16 @@ def test_sweep_m_list_excludes_m_range(capsys):
         (["sweep", "--rho", "0", "--m-list", "100,1000", "--points", "7"], "--points"),
         (["verify", "--seed", "-1"], "--seed"),
         (["moments", "--rho", "0", "--m", "50", "--max-degree", "-1"], "--max-degree"),
+        (["moments", "--rho", "0", "--m", "1"], "--m"),
+        (["moments", "--rho", "0", "--m", "0"], "--m"),
     ],
-    ids=["points-without-m-range", "negative-seed", "negative-max-degree"],
+    ids=[
+        "points-without-m-range",
+        "negative-seed",
+        "negative-max-degree",
+        "moments-m-1",
+        "moments-m-0",
+    ],
 )
 def test_bad_value_exits_2_before_output(argv, flag, capsys):
     code, out, err = run(argv, capsys)

@@ -6,6 +6,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from bergmanlab import density
 from bergmanlab.density import (
     CSV_HEADER,
     DensityReport,
@@ -104,15 +105,42 @@ def cp1_term_list(m, z):
 
 
 def test_cp1_matches_term_list_route():
-    # the streamed sum reproduces the fsum of the term list bit for bit
+    # the windowed sum reproduces the fsum of the full term list bit for bit,
+    # also where the window meets k = 0 (|z| = 1e-160, 1e-3) or k = m (|z| = 30, 1e10)
     rng = random.Random(0)
-    for m in list(range(1, 65)) + [1000, 12345, 10**5]:
-        zs = [0j]
-        for _ in range(8 if m <= 1000 else 2):
+    edges = [complex(0.6 * r, 0.8 * r) for r in (1e-160, 1e-3, 30.0, 1e10)]
+    for m in list(range(1, 65)) + [1000, 12345, 10**5, 10**6]:
+        zs = [0j] + (edges if m < 10**6 else [])
+        for _ in range(8 if m <= 1000 else 2 if m < 10**6 else 1):
             r, theta = rng.uniform(0.0, 3.0), rng.uniform(0.0, 2.0 * math.pi)
             zs.append(complex(r * math.cos(theta), r * math.sin(theta)))
         for z in zs:
             assert repr(cp1_density(m, z)) == repr(math.fsum(cp1_term_list(m, z))), (m, z)
+
+
+def test_cp1_window_is_narrow(monkeypatch):
+    # each term costs two lgamma calls; the full sum at m = 1e6 would take 1_000_001 terms
+    calls = 0
+
+    class CountingMath:
+        def __getattr__(self, name):
+            return getattr(math, name)
+
+        def lgamma(self, x):
+            nonlocal calls
+            calls += 1
+            return math.lgamma(x)
+
+    monkeypatch.setattr(density, "math", CountingMath())
+    assert cp1_density(10**6, 1.5 + 0j) == pytest.approx(10**6 + 1.0, rel=1e-7)
+    assert calls // 2 < 100_000
+
+
+@pytest.mark.parametrize("r", [1e160, 1e200, 1e300])
+def test_cp1_beyond_squared_float_range(r):
+    # |z|^2 overflows a float here; the log-space sum still gives m + 1
+    for m in (1, 10, 64):
+        assert cp1_density(m, complex(0.6 * r, 0.8 * r)) == pytest.approx(m + 1.0, rel=1e-9)
 
 
 def test_cp1_memory_does_not_grow_with_m():
