@@ -40,8 +40,6 @@ from .gram import (
     schur_i00,
 )
 from .quadrature import (
-    QuadratureConfig,
-    QuadratureError,
     RadialMoment,
     lambda0_closed_form,
     lambda0_tail,

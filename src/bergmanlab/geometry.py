@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 __all__ = [
     "DomainError",
@@ -49,12 +50,20 @@ class ModelGeometry:
             )
 
 
+def _log_conformal_factor(geom: ModelGeometry, r: float) -> float:
+    """log(1 + rho r^2 / 2); below 1/2 the sum cancels in floats, so it is formed exactly."""
+    w = 0.5 * geom.rho * r * r
+    if w >= -0.5:
+        return math.log1p(w)
+    return math.log(1 + Fraction(geom.rho) * Fraction(r) ** 2 / 2)
+
+
 def log_metric_density(geom: ModelGeometry, r: float) -> float:
     """log g at radius r; g = (1 + rho r^2 / 2)^(-2), identically 1 at rho=0."""
     geom.require_inside(r)
     if geom.rho == 0.0:
         return 0.0
-    return -2.0 * math.log1p(0.5 * geom.rho * r * r)
+    return -2.0 * _log_conformal_factor(geom, r)
 
 
 def log_bundle_weight(geom: ModelGeometry, r: float) -> float:
@@ -62,7 +71,7 @@ def log_bundle_weight(geom: ModelGeometry, r: float) -> float:
     geom.require_inside(r)
     if geom.rho == 0.0:
         return -r * r
-    return (-2.0 / geom.rho) * math.log1p(0.5 * geom.rho * r * r)
+    return (-2.0 / geom.rho) * _log_conformal_factor(geom, r)
 
 
 def metric_density(geom: ModelGeometry, z: complex) -> float:

@@ -1,22 +1,41 @@
-"""Radial moment integrals with certified error estimates.
+"""Radial moments of the model in closed form, with proven error bounds.
 
-The angular integral of every monomial moment is done analytically (it is
-2 pi delta_{alpha beta} under the measure (i/2pi) dz ^ dzbar), so only
-one-dimensional radial integrals remain.  Those are evaluated by adaptive
-bisection with a Gauss7/Kronrod15 pair per panel; the integrand is built in
-log space so a^m never underflows prematurely.
+Angular integrals are done analytically (2 pi delta_{alpha beta} under
+(i/2pi) dz ^ dzbar), leaving lambda_p^-2 = 2 int_0^R r^(2p+1) a^m g dr.  With
+a = p + 1 this is gamma(a, x) / m^a for rho = 0, x = m R^2, and c^a B(y; a, b)
+for rho != 0, c = 2/|rho|, with y = |rho| R^2 / 2, b = 2m/|rho| - 1 for
+rho < 0 and y = u/(1+u), u = rho R^2 / 2, b = 2m/rho + 1 - p for rho > 0
+(DLMF 8.4, 8.17).  Two routes sum positive terms:
+
+* complement, where b > 0 and Q <= 1/2, in floating point: P (1 - Q) with
+  P = p!/m^a or c^a p!/(b)_a exact and Q = e^-x sum_{k<=p} x^k/k! or
+  (1-y)^b sum_{j<=p} (b)_j y^j/j!, taking 1 - Q as -expm1(log Q) and the
+  boundary factor from the geometry, m log a(R) + log g(R)/2 (+ p log(1+u));
+* lower series (DLMF 8.5.1, 8.17.8) elsewhere, in 50-digit decimals from the
+  exact rational inputs: x^a e^-x/a sum x^n/(a+1)_n or
+  y^a (1-y)^b/a sum (a+b)_n/(a+1)_n y^n.  Beyond y = 1 - h, h = min(1/2, 8/a),
+  it stops at 1 - h and adds the finite binomial expansion of (1-s)^p over
+  [1-y, h] (a log term at b + k = 0), whose alternating sum loses at most
+  ((1+h)/(1-h))^p <= e^32 of the 50 digits.
+
+abs_err is a proven bound: Higham's gamma_n = n u / (1 - n u), u = 2^-53,
+over the float roundings done (exp, log, log1p, expm1 within one ulp), or
+10^-49 per decimal rounding against the magnitudes summed plus the series
+tail bounded geometrically, then the rounding to a double (2^-1075 more below
+the normal range).
 """
 
 from __future__ import annotations
 
+import decimal
 import math
 from dataclasses import dataclass
+from decimal import Decimal
+from fractions import Fraction
 
 from .geometry import ModelGeometry, log_bundle_weight, log_metric_density
 
 __all__ = [
-    "QuadratureConfig",
-    "QuadratureError",
     "RadialMoment",
     "lambda_inv_sq",
     "lambda0_closed_form",
@@ -27,45 +46,12 @@ __all__ = [
     "truncation_radius",
 ]
 
-# (node, Gauss-7 weight, Kronrod-15 weight) on [-1, 1]
-_GK15 = (
-    (+0.991455371120813, 0.000000000000000, 0.022935322010529),
-    (-0.991455371120813, 0.000000000000000, 0.022935322010529),
-    (+0.949107912342759, 0.129484966168870, 0.063092092629979),
-    (-0.949107912342759, 0.129484966168870, 0.063092092629979),
-    (+0.864864423359769, 0.000000000000000, 0.104790010322250),
-    (-0.864864423359769, 0.000000000000000, 0.104790010322250),
-    (+0.741531185599394, 0.279705391489277, 0.140653259715525),
-    (-0.741531185599394, 0.279705391489277, 0.140653259715525),
-    (+0.586087235467691, 0.000000000000000, 0.169004726639267),
-    (-0.586087235467691, 0.000000000000000, 0.169004726639267),
-    (+0.405845151377397, 0.381830050505119, 0.190350578064785),
-    (-0.405845151377397, 0.381830050505119, 0.190350578064785),
-    (+0.207784955007898, 0.000000000000000, 0.204432940075298),
-    (-0.207784955007898, 0.000000000000000, 0.204432940075298),
-    (0.000000000000000, 0.417959183673469, 0.209482141084728),
-)
-
-
-MAX_PANELS = 60  # adaptive refinement stops with QuadratureError beyond this
-
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    rel_tol: float = 1e-12
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.rel_tol <= 1e-4:
-            raise ValueError("rel_tol must lie in (0, 1e-4]")
-
-
-class QuadratureError(RuntimeError):
-    """Adaptive refinement ran out of panels; carries the best estimate."""
-
-    def __init__(self, message: str, best: float, abs_err: float):
-        super().__init__(message)
-        self.best = best
-        self.abs_err = abs_err
+U = 2.0**-53  # unit roundoff of a double
+TINY = 2.0**-1074  # covers the absolute error of two roundings below the normal range
+LN2 = math.log(2.0)
+DEC = decimal.Context(prec=50, Emin=-(10**9), Emax=10**9)
+UD = Decimal("1e-49")  # relative error of one DEC operation, rounded up from half an ulp
+SERIES_TOL = Decimal("1e-20")  # the lower series stops when its tail bound is below this share
 
 
 @dataclass(frozen=True)
@@ -77,80 +63,168 @@ class RadialMoment:
     abs_err: float
 
 
-def _gk_panel(logf, a: float, b: float) -> tuple[float, float]:
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    gauss = 0.0
-    kronrod = 0.0
-    for node, wg, wk in _GK15:
-        r = mid + half * node
-        f = math.exp(logf(r)) if r > 0.0 else 0.0
-        gauss += wg * f
-        kronrod += wk * f
-    delta = half * abs(kronrod - gauss)
-    err = min(delta, (200.0 * delta) ** 1.5) if delta > 0.0 else 0.0
-    return half * kronrod, err
-
-
-def _adaptive(logf, a: float, b: float, cfg: QuadratureConfig) -> tuple[float, float]:
-    panels = []
-    for i in range(4):
-        lo = a + (b - a) * i / 4
-        hi = a + (b - a) * (i + 1) / 4
-        panels.append((lo, hi, *_gk_panel(logf, lo, hi)))
-    while True:
-        total = math.fsum(p[2] for p in panels)
-        err = math.fsum(p[3] for p in panels)
-        if err <= cfg.rel_tol * abs(total):
-            return total, err
-        if len(panels) >= MAX_PANELS:
-            raise QuadratureError(
-                f"no convergence within {MAX_PANELS} panels "
-                f"(error {err:.3e} on value {total:.6e})",
-                best=total,
-                abs_err=err,
-            )
-        worst = max(range(len(panels)), key=lambda i: panels[i][3])
-        lo, hi, _, _ = panels.pop(worst)
-        mid = 0.5 * (lo + hi)
-        panels.append((lo, mid, *_gk_panel(logf, lo, mid)))
-        panels.append((mid, hi, *_gk_panel(logf, mid, hi)))
-
-
 def truncation_radius(m: int) -> float:
     """The peak-section truncation radius log(m)/sqrt(m)."""
     return math.log(m) / math.sqrt(m)
 
 
-def lambda_inv_sq(
-    geom: ModelGeometry,
-    m: int,
-    p: int,
-    radius: float,
-    cfg: QuadratureConfig | None = None,
-) -> RadialMoment:
-    """2 * integral_0^R r^(2p+1) a(r)^m g(r) dr with a certified error."""
-    if cfg is None:
-        cfg = QuadratureConfig()
+def _gamma(n: float) -> float:
+    return n * U / (1.0 - n * U)
+
+
+def _complement(geom: ModelGeometry, m: int, p: int, radius: float) -> tuple[float, float] | None:
+    """P (1 - Q) and its bound in floating point, or None where b <= 0 or Q > 1/2."""
+    rho = geom.rho
+    a = p + 1
+    w = 0.5 * rho * radius * radius
+    pieces = [m * log_bundle_weight(geom, radius), 0.5 * log_metric_density(geom, radius)]
+    if rho == 0.0:
+        z, b = -pieces[0], None  # the sum sees the x that the boundary factor saw
+        num, den = math.factorial(p), m**a
+        arg_err, log1p_err = _gamma(2), 0.0
+    else:
+        n, d = abs(rho).as_integer_ratio()
+        top = 2 * m * d + n * (-1 if rho < 0 else 1 - p)  # |rho| b d, an exact integer
+        if top <= 0:
+            return None
+        b = top / n
+        num, den = math.factorial(p) * (2 * d) ** a, math.prod(top + n * k for k in range(a))
+        if rho > 0:
+            pieces.append(p * math.log1p(w))
+        z, arg_err = (w / (1.0 + w) if rho > 0 else -w), _gamma(7)  # with b's rounding
+        # log(1 + w) moves this much by the rounding of w (or of the exact
+        # 1 + w near the disk's edge), weighted as the boundary log carries it
+        log1p_err = 2.0 * _gamma(2) * min(abs(w), 1.0) * (2.0 * m / abs(rho) + 1 + p)
+    t = s = 1.0
+    scale = 0  # the sum is s 2^scale; exact power-of-two steps keep s in [1/2, 1)
+    for j in range(1, a):
+        t *= z / j if b is None else (b + j - 1) * z / j
+        s, e = math.frexp(s + t)
+        t, scale = math.ldexp(t, -e), scale + e
+    log_s = math.log(s) + scale * LN2
+    log_q = math.fsum(pieces) + log_s
+    if log_q > -LN2:
+        return None
+    # log Q: the boundary log, the sum at perturbed arguments (its log moves
+    # by at most p times their relative error), its 5p + 2 roundings, the rest
+    log_err = (
+        _gamma(6) * (math.fsum(map(abs, pieces)) + abs(log_s) + abs(log_q))
+        + log1p_err
+        + p * arg_err
+        + _gamma(5 * p + 2)
+    )
+    q_hi = math.exp(log_q + log_err)
+    rel = q_hi / (1.0 - q_hi) * log_err + _gamma(2)  # of 1 - Q, with expm1's rounding
+    qn, qd = (-math.expm1(log_q)).as_integer_ratio()
+    value = (num * qn) / (den * qd)  # P is exact, so this is the one rounding
+    return value, value * (rel + U) * (1.0 + rel) * (1.0 + _gamma(8)) + TINY
+
+
+def _dec(q) -> Decimal:
+    q = Fraction(q)
+    return Decimal(q.numerator) / Decimal(q.denominator)
+
+
+def _lower_series(a: int, ab: Decimal | None, z: Decimal) -> tuple[Decimal, int, Decimal]:
+    """sum_n (ab)_n z^n / (a+1)_n (sum_n z^n / (a+1)_n if ab is None), terms, tail bound.
+
+    The ratio (ab + n - 1) z / (a + n) moves monotonically to z (z / (a + n)
+    to 0), so later ratios are at most q = max(next ratio, limit) and the tail
+    after term t is at most t q / (1 - q).
+    """
+    limit = Decimal(0) if ab is None else z
+    t = s = Decimal(1)
+    n = 0
+    while True:
+        n += 1
+        ratio = (z if ab is None else (ab + (n - 1)) * z) / (a + n)
+        q = max(ratio, limit)
+        if q < 1 and t * q / (1 - q) <= SERIES_TOL * s:
+            return s, n, t * q / (1 - q)
+        t *= ratio
+        s += t
+
+
+def _binomial_piece(p: int, b: Fraction, lo: Fraction, h: Fraction) -> tuple[Decimal, Decimal]:
+    """int_lo^h (1-s)^p s^(b-1) ds = sum_k (-1)^k C(p,k) int_lo^h s^(b+k-1) ds, and its bound.
+
+    The bound weighs each term's magnitude before cancellation by its
+    roundings, the logs that amplify those of b, lo and h, and c^a's.
+    """
+    hd, lod = _dec(h), _dec(lo)
+    log_h, log_lo = hd.ln(), lod.ln()
+    hk, lk = hd ** _dec(b), lod ** _dec(b)  # h^(b+k), lo^(b+k)
+    total = magnitude = Decimal(0)
+    for k in range(p + 1):
+        if b + k == 0:
+            term, size = log_h - log_lo, abs(log_h) + abs(log_lo)
+        else:
+            e = _dec(b + k)
+            term, size = (hk - lk) / e, (hk + lk) / abs(e)
+        c = math.comb(p, k)
+        total += (-c if k % 2 else c) * term
+        magnitude += c * size
+        hk, lk = hk * hd, lk * lod
+    weight = 5 * p + 24 + _dec(abs(b) + p) * (1 + abs(log_h) + abs(log_lo))
+    return total, UD * weight * magnitude
+
+
+def _series(rho: float, m: int, p: int, radius: float) -> tuple[float, float]:
+    """The lower series, and beyond 1 - h the binomial piece, in decimal arithmetic."""
+    a = p + 1
+    r2 = Fraction(radius) ** 2
+    with decimal.localcontext(DEC):
+        if rho == 0.0:
+            z = _dec(m * r2)
+            ab, cz, log_boundary, amplified = None, _dec(r2), -z, z
+        else:
+            sig = abs(Fraction(rho))
+            w = Fraction(rho) * r2 / 2
+            b = 2 * m / sig + (-1 if rho < 0 else 1 - p)
+            y, lo = (-w, 1 + w) if rho < 0 else (w / (1 + w), 1 / (1 + w))
+            h = min(Fraction(1, 2), Fraction(8, a))
+            zf, zc = (y, lo) if y <= 1 - h else (1 - h, h)
+            log_zc = _dec(zc).ln()
+            z, ab, cz, log_boundary = _dec(zf), _dec(a + b), _dec(2 * zf / sig), _dec(b) * log_zc
+            amplified = (_dec(abs(b)) + 1) * (1 + abs(log_zc))
+        s, terms, tail = _lower_series(a, ab, z)
+        scale = cz**a * log_boundary.exp() / a  # c^a z^a (1-z)^b / a, or R^2a e^-x / a
+        exact = scale * s
+        # the roundings in the sum and in c z, z, 1 - z, b, amplified by the powers
+        err = UD * (8 * terms + 20 + 2 * a + amplified) * exact + scale * tail
+        if rho != 0.0 and zf != y:
+            c_a = _dec(2 / sig) ** a
+            piece, piece_err = _binomial_piece(p, b, lo, h)
+            exact += c_a * piece
+            err += c_a * piece_err + UD * exact
+    num, den = exact.as_integer_ratio()
+    value = num / den  # correctly rounded
+    return value, (U * value + float(err)) * (1.0 + _gamma(4)) + TINY
+
+
+def lambda_inv_sq(geom: ModelGeometry, m: int, p: int, radius: float) -> RadialMoment:
+    """2 * integral_0^R r^(2p+1) a(r)^m g(r) dr in closed form.
+
+    The complement route where b > 0 and Q <= 1/2, the lower series elsewhere
+    (see the module docstring); abs_err is a proven bound on |value - exact|.
+    A moment beyond the largest double raises ValueError.
+    """
     if m < 2:
         raise ValueError("m must be >= 2")
     if p < 0:
         raise ValueError("p must be nonnegative")
     if not 0.0 < radius < geom.max_radius:
         raise ValueError(f"radius {radius!r} outside (0, {geom.max_radius!r})")
-
-    log2 = math.log(2.0)
-
-    def logf(r: float) -> float:
-        return (
-            log2
-            + (2 * p + 1) * math.log(r)
-            + m * log_bundle_weight(geom, r)
-            + log_metric_density(geom, r)
-        )
-
-    value, err = _adaptive(logf, 0.0, radius, cfg)
-    return RadialMoment(m=m, p=p, radius=radius, value=value, abs_err=err)
+    if not math.isfinite(m * max(abs(geom.rho), 1.0) * radius * radius):  # x and u are doubles
+        raise ValueError(f"radius {radius!r} too large for m={m} at rho={geom.rho!r}")
+    try:
+        result = _complement(geom, m, p, radius) or _series(geom.rho, m, p, radius)
+    except OverflowError:
+        raise ValueError(
+            f"moment at m={m}, p={p}, radius={radius!r} exceeds the double range"
+        ) from None
+    value, abs_err = result
+    return RadialMoment(m=m, p=p, radius=radius, value=value, abs_err=abs_err)
 
 
 def lambda0_tail(geom: ModelGeometry, m: int) -> float:
@@ -182,24 +256,17 @@ def lambda0_closed_form(geom: ModelGeometry, m: int) -> float:
     return (1.0 - lambda0_tail(geom, m)) / (m + 0.5 * geom.rho)
 
 
-def monomial_moment(
-    geom: ModelGeometry,
-    m: int,
-    alpha: int,
-    beta: int,
-    radius: float,
-    cfg: QuadratureConfig | None = None,
-) -> float:
+def monomial_moment(geom: ModelGeometry, m: int, alpha: int, beta: int, radius: float) -> float:
     """Disk integral of z^alpha zbar^beta a^m g; exactly zero off the diagonal.
 
     Rotational symmetry kills the angular integral whenever alpha != beta, so
-    that case short-circuits to an exact 0 rather than quadrature noise.
+    that case short-circuits to an exact 0 rather than a computed one.
     """
     if alpha < 0 or beta < 0:
         raise ValueError("monomial degrees must be nonnegative")
     if alpha != beta:
         return 0.0
-    return lambda_inv_sq(geom, m, alpha, radius, cfg).value
+    return lambda_inv_sq(geom, m, alpha, radius).value
 
 
 @dataclass(frozen=True)
@@ -212,12 +279,7 @@ class PeakNormCheck:
     passed: bool
 
 
-def peak_norm_bound_check(
-    geom: ModelGeometry,
-    m_list: list[int],
-    p: int,
-    cfg: QuadratureConfig | None = None,
-) -> PeakNormCheck:
+def peak_norm_bound_check(geom: ModelGeometry, m_list: list[int], p: int) -> PeakNormCheck:
     """Empirical boundedness of lambda_p^2 / m^(1+p) over a sweep of m.
 
     The supremum of the ratio is the empirical constant; the relative spread
@@ -230,7 +292,7 @@ def peak_norm_bound_check(
     ms = tuple(sorted(m_list))
     ratios = []
     for m in ms:
-        moment = lambda_inv_sq(geom, m, p, truncation_radius(m), cfg)
+        moment = lambda_inv_sq(geom, m, p, truncation_radius(m))
         ratios.append(1.0 / (moment.value * float(m) ** (1 + p)))
     top = [r for m, r in zip(ms, ratios) if m * 10 >= ms[-1]]
     variation = (max(top) - min(top)) / max(top) if len(top) > 1 else 0.0

@@ -1,8 +1,11 @@
 import argparse
 import json
+import re
 from pathlib import Path
 
+import mpmath
 import pytest
+from exact_moments import exact_moment
 
 from bergmanlab.cli import build_parser, main
 from bergmanlab.gram import BorderedGram
@@ -46,9 +49,9 @@ def test_sweep_matches_golden_csv(argv, golden, tmp_path, capsys):
 # Each subcommand's options: exactly the settings it reads.
 OPTIONS = {
     "sweep": {"--rho", "--m-range", "--points", "--m-list", "--budget-c", "--format", "--out"},
-    "verify": {"--rel-tol", "--eta", "--seed"},
+    "verify": {"--eta", "--seed"},
     "cp1": {"--m", "--samples", "--seed"},
-    "moments": {"--rho", "--m", "--max-degree", "--radius", "--rel-tol"},
+    "moments": {"--rho", "--m", "--max-degree", "--radius"},
     "gram": {"--rho", "--m", "--degrees", "--budget-c", "--out"},
 }
 VALID = {
@@ -68,7 +71,7 @@ def test_parser_option_sets():
         for name, p in sub.choices.items()
     }
     assert found == OPTIONS
-    assert sum(len(opts) for opts in found.values()) == 23
+    assert sum(len(opts) for opts in found.values()) == 21
 
 
 @pytest.mark.parametrize(
@@ -178,10 +181,31 @@ def test_bad_value_exits_2_before_output(argv, flag, capsys):
     assert err.startswith("error:") and err.count("\n") == 1 and flag in err
 
 
-def test_moments_reports_quadrature_failure(capsys):
-    code, _, err = run(["moments", "--rho", "0", "--m", "200", "--rel-tol", "1e-300"], capsys)
-    assert code == 1
-    assert err.startswith("error: no convergence within 60 panels")
+@pytest.mark.parametrize(
+    "rho, m, p, radius",
+    [
+        (0.0, 10_000, 10, 30.0),  # 10!/10^44 = 3.6288e-38
+        (-6.0, 10**8, 40, 0.577),  # 8.159e-281
+        (2.0, 100, 200, 30.0),  # 2.659e290, b = -99 at p = 200
+    ],
+)
+def test_moments_table_entry_matches_mpmath(rho, m, p, radius, capsys):
+    argv = ["moments", "--rho", repr(rho), "--m", str(m), "--max-degree", str(p)]
+    code, stdout, _ = run(argv + ["--radius", repr(radius)], capsys)
+    assert code == 0
+    last = stdout.strip().split("\n")[-1].split(",")
+    assert last[:2] == [str(p), str(p)]
+    exact = exact_moment(rho, m, p, radius)
+    assert abs(mpmath.mpf(last[2]) - exact) <= 1e-13 * exact
+
+
+def test_moment_beyond_double_range_exits_2_before_output(capsys):
+    # p!/2^(p+1) passes the largest double at p = 197
+    code, out, err = run(["moments", "--rho", "0", "--m", "2", "--max-degree", "200",
+                          "--radius", "1e6"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1 and "double range" in err
 
 
 def test_moments_rejects_zero_radius(capsys):
@@ -204,16 +228,20 @@ def test_verify_default_passes(capsys):
         assert f"PASS {suite}" in stdout
 
 
+def test_verify_recurrence_stays_below_oracle_deviation(capsys):
+    # The benchmark's verify accuracy is the largest "rel dev" of all suites;
+    # the moment recurrence must stay below the sphere oracle's.
+    code, stdout, _ = run(["verify"], capsys)
+    assert code == 0
+    devs = dict(re.findall(r"(\w+): max rel dev(?: from m\+1:)? (\S+)", stdout))
+    assert float(devs["quadrature_vs_closed_form"]) < float(devs["cp1_constancy"])
+    assert "quadrature_vs_closed_form: max rel dev" in stdout and "(tol 1.0e-12)" in stdout
+
+
 def test_verify_smooth_profile_flagged_not_failed(capsys):
     code, stdout, _ = run(["verify", "--eta", "smooth"], capsys)
     assert code == 0
     assert "FLAG eta_bounds" in stdout
-
-
-def test_verify_loose_rel_tol_still_passes(capsys):
-    code, stdout, _ = run(["verify", "--rel-tol", "1e-4"], capsys)
-    assert code == 0
-    assert "PASS quadrature_vs_closed_form" in stdout
 
 
 def test_cp1_command(capsys):

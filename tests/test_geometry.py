@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import pytest
 from hypothesis import given, strategies as st
 
@@ -8,6 +9,8 @@ from bergmanlab.geometry import (
     ModelGeometry,
     bundle_weight,
     curvature_residual,
+    log_bundle_weight,
+    log_metric_density,
     metric_density,
     polar_ode_residual,
 )
@@ -44,6 +47,19 @@ def test_domain_errors():
         bundle_weight(HYPERBOLIC, 1.2j)
     with pytest.raises(DomainError):
         curvature_residual(HYPERBOLIC, 0.9999, 1e-3)
+
+
+@pytest.mark.parametrize("rho", [-2.0, -0.7, -10.0])
+def test_log_weights_accurate_near_disk_edge(rho):
+    # 1 + rho r^2 / 2 cancels there; one rounding of rho r^2 / 2 would cost
+    # digits in proportion to 1 / (1 + rho r^2 / 2).
+    edge = math.sqrt(-2.0 / rho)
+    for r in (0.5 * edge, 0.8 * edge, edge * (1 - 1e-9), math.nextafter(edge, 0.0)):
+        with mpmath.workdps(40):
+            log_phi = mpmath.log(1 + mpmath.mpf(rho) * mpmath.mpf(r) ** 2 / 2)
+            want_g, want_a = -2 * log_phi, -2 / mpmath.mpf(rho) * log_phi
+        assert abs(log_metric_density(ModelGeometry(rho), r) - want_g) <= 4e-16 * abs(want_g)
+        assert abs(log_bundle_weight(ModelGeometry(rho), r) - want_a) <= 4e-16 * abs(want_a)
 
 
 def test_bundle_weight_continuous_in_rho():

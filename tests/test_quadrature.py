@@ -1,12 +1,13 @@
 import math
+import sys
 
+import mpmath
 import numpy as np
 import pytest
+from exact_moments import exact_moment
 
 from bergmanlab.geometry import ModelGeometry, log_bundle_weight, log_metric_density
 from bergmanlab.quadrature import (
-    QuadratureConfig,
-    QuadratureError,
     lambda0_closed_form,
     lambda0_tail,
     lambda_inv_sq,
@@ -20,11 +21,56 @@ SPHERE = ModelGeometry(2.0)
 HYPERBOLIC = ModelGeometry(-2.0)
 
 
-def test_config_validation():
-    with pytest.raises(ValueError):
-        QuadratureConfig(rel_tol=1e-3)
-    with pytest.raises(ValueError):
-        QuadratureConfig(rel_tol=0.0)
+DBL_MIN = sys.float_info.min
+
+
+def grid_radii(rho):
+    """Radii from 1e-9 to the disk's edge (its last float below) or to 1e6."""
+    if rho >= 0:
+        return (1e-9, 0.1, 1.0, 30.0, 1e6)
+    edge = math.sqrt(-2.0 / rho)
+    return (1e-9, 0.1 * edge, 0.9 * edge, edge * (1 - 1e-9), math.nextafter(edge, 0.0))
+
+
+def check_against_mpmath(geom, m, p, radius):
+    """Relative error (floored at the smallest normal double) and whether abs_err holds."""
+    got = lambda_inv_sq(geom, m, p, radius)
+    exact = exact_moment(geom.rho, m, p, radius)
+    err = abs(mpmath.mpf(got.value) - exact)
+    return got, float(err / max(abs(exact), DBL_MIN)), err <= got.abs_err
+
+
+@pytest.mark.parametrize("rho", [-10.0, -2.0, -0.5, 0.0, 0.5, 2.0, 100.0])
+def test_matches_mpmath_on_cli_domain(rho):
+    # Small radii, the disk's edge, R = 1e6, p = 200 and b <= 0 (at rho = 2,
+    # m = 2, p = 3, b = 0) are all on the grid.  A moment beyond the largest
+    # double must raise, and only such a moment.
+    geom = ModelGeometry(rho)
+    worst = 0.0
+    for m in (2, 3, 7, 100, 10**4, 10**8):
+        for p in (0, 3, 40, 200):
+            for radius in grid_radii(rho):
+                try:
+                    got, rel, holds = check_against_mpmath(geom, m, p, radius)
+                except ValueError as exc:
+                    assert "double range" in str(exc)
+                    assert exact_moment(rho, m, p, radius) > sys.float_info.max
+                    continue
+                assert rel <= 1e-13, (m, p, radius, got, rel)
+                assert holds, (m, p, radius, got)
+                worst = max(worst, rel)
+    print(f"rho={rho}: worst relative error {worst:.2e}")
+
+
+@pytest.mark.parametrize("rho", [-2.0, -0.7, 0.0, 0.3, 2.0])
+def test_error_bar_is_tight_on_benchmark_domain(rho):
+    # the benchmark's moments: R = log m / sqrt m, p <= 10
+    geom = ModelGeometry(rho)
+    for m in (100, 3163, 10**5, 31_622_777, 10**8):
+        for p in range(11):
+            got, rel, holds = check_against_mpmath(geom, m, p, truncation_radius(m))
+            assert rel <= 1e-13 and holds, (m, p, got, rel)
+            assert got.abs_err <= 1e-13 * got.value, (m, p, got)
 
 
 def test_flat_closed_form():
@@ -160,15 +206,6 @@ def test_peak_norm_bound_hyperbolic():
     assert check.top_decade_variation <= 0.1
 
 
-def test_quadrature_failure_carries_best_estimate():
-    # no panel count reaches a relative error of 1e-300
-    cfg = QuadratureConfig(rel_tol=1e-300)
-    with pytest.raises(QuadratureError) as info:
-        lambda_inv_sq(FLAT, 10**6, 0, truncation_radius(10**6), cfg)
-    assert info.value.best > 0.0
-    assert info.value.abs_err > 0.0
-
-
 def test_validation_errors():
     with pytest.raises(ValueError):
         lambda_inv_sq(FLAT, 1, 0, 0.5)
@@ -176,6 +213,10 @@ def test_validation_errors():
         lambda_inv_sq(FLAT, 10, -1, 0.5)
     with pytest.raises(ValueError):
         lambda_inv_sq(HYPERBOLIC, 10, 0, 1.5)
+    with pytest.raises(ValueError, match="too large"):
+        lambda_inv_sq(SPHERE, 10, 0, 1e160)  # R^2 beyond the float range
+    with pytest.raises(ValueError, match="too large"):
+        lambda_inv_sq(FLAT, 10**10, 2, 1e150)  # m R^2 beyond it
     with pytest.raises(ValueError):
         peak_norm_bound_check(FLAT, [], 0)
     with pytest.raises(ValueError):
