@@ -12,6 +12,7 @@ from .cutoff import (
 )
 from .density import (
     DensityReport,
+    ErrorBudget,
     SweepResult,
     cp1_density,
     density_estimate,
@@ -31,9 +32,7 @@ from .geometry import (
 )
 from .gram import (
     BorderedGram,
-    ErrorBudget,
     NonPositiveDefiniteError,
-    SingularComplementError,
     assemble_truncated_gram,
     inverse00_oracle,
     orthonormalize_i00,

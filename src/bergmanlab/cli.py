@@ -62,7 +62,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if not m_values:
         print("error: empty sweep", file=sys.stderr)
         return EXIT_USAGE
-    result = density.remainder_sweep(args.rho, m_values, gram.ErrorBudget(args.budget_c))
+    result = density.remainder_sweep(args.rho, m_values, density.ErrorBudget(args.budget_c))
     to_text = density.sweep_to_csv if args.format == "csv" else density.sweep_to_json
     _write_out(args.out, to_text(result))
 
@@ -103,8 +103,6 @@ def _suite_eta_bounds(args, rng) -> tuple[str, str]:
     neg_slope_ok = True
     for i in range(10_000):
         t = 1.2 * (i + 0.5) / 10_000
-        if min(abs(t - k) for k in profile.knots) < 1e-6:
-            continue
         d1 = profile.eta_d1(t)
         neg_slope_ok = neg_slope_ok and -d1 >= -1e-9
         max_d1 = max(max_d1, -d1)
@@ -239,18 +237,6 @@ def cmd_moments(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_gram(args: argparse.Namespace) -> int:
-    geom = geometry.ModelGeometry(args.rho)
-    degrees = [int(t) for t in args.degrees.split(",") if t.strip()] if args.degrees else []
-    G = gram.assemble_truncated_gram(geom, args.m, degrees, gram.ErrorBudget(args.budget_c))
-    _write_out(args.out, G.to_json() + "\n")
-    value, (lo, hi) = gram.schur_i00(G)
-    print(f"I00 schur = {value!r} interval [{lo!r}, {hi!r}]")
-    print(f"I00 solve = {gram.inverse00_oracle(G)!r}")
-    print(f"I00 factor = {gram.orthonormalize_i00(G)!r}")
-    return EXIT_OK
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bergmanlab",
@@ -286,14 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_mom.add_argument("--max-degree", type=int, default=3)
     p_mom.add_argument("--radius", type=float)
     p_mom.set_defaults(func=cmd_moments)
-
-    p_gram = sub.add_parser("gram", help="assemble and serialize a bordered Gram matrix")
-    p_gram.add_argument("--rho", type=float, required=True)
-    p_gram.add_argument("--m", type=int, required=True)
-    p_gram.add_argument("--degrees", help="comma-separated extra degrees >= 2")
-    p_gram.add_argument("--budget-c", type=float, default=1.0)
-    p_gram.add_argument("--out", help="output path (default: stdout)")
-    p_gram.set_defaults(func=cmd_gram)
 
     return parser
 

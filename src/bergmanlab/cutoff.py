@@ -143,12 +143,6 @@ class WeightParams:
     def degree_factor(self) -> int:
         return 1 + 2 * self.p_prime
 
-    @property
-    def meets_power_threshold(self) -> bool:
-        # Advisory only; the asymptotic statements assume this but the weight
-        # itself is well defined for any m >= 2.
-        return self.m > math.exp(8.0 * self.p_prime)
-
 
 def _psi_of_t(params: WeightParams, t: float, profile: CutoffProfile) -> float:
     if t <= 0.0:
@@ -167,8 +161,6 @@ def psi(params: WeightParams, z: complex, profile: CutoffProfile = C1_PROFILE) -
 
 @dataclass(frozen=True)
 class HessianBoundCheck:
-    min_observed: float
-    bound_at_min: float
     margin: float
     passed: bool
     points_checked: int
@@ -197,13 +189,9 @@ def psi_hessian_bound_check(
         t_values.append(0.52 + (0.98 - 0.52) * i / (RADIAL_POINTS - 1))
 
     min_margin = math.inf
-    min_observed = math.nan
-    bound_at_min = math.nan
     count = 0
     for t in t_values:
         r = log_m * math.sqrt(t / m)
-        if r <= log_m / (10.0 * math.sqrt(m)):
-            continue  # too close to the pole
         h = STEP_SCALE * r
         geom.require_inside(r, margin=2.0 * h)
         for j in range(ANGULAR_POINTS):
@@ -215,17 +203,9 @@ def psi_hessian_bound_check(
                 return _psi_of_t(params, tt, profile)
 
             lap = (p(x + h, y) + p(x - h, y) + p(x, y + h) + p(x, y - h) - 4.0 * p(x, y)) / (h * h)
-            observed = 0.25 * lap
-            bound = coeff * metric_density(geom, complex(x, y))
-            margin = observed - bound
+            min_margin = min(min_margin, 0.25 * lap - coeff * metric_density(geom, complex(x, y)))
             count += 1
-            if margin < min_margin:
-                min_margin = margin
-                min_observed = observed
-                bound_at_min = bound
     return HessianBoundCheck(
-        min_observed=min_observed,
-        bound_at_min=bound_at_min,
         margin=min_margin,
         passed=min_margin >= 0.0,
         points_checked=count,

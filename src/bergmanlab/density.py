@@ -7,12 +7,12 @@ import math
 from dataclasses import dataclass
 
 from .geometry import ModelGeometry
-from .gram import ErrorBudget
 # The benchmark tracer (bench/spans.py) wraps these two names on this module.
 from .gram import assemble_truncated_gram, schur_i00  # noqa: F401
 from .quadrature import lambda0_tail
 
 __all__ = [
+    "ErrorBudget",
     "DensityReport",
     "SweepResult",
     "expansion_reference",
@@ -41,6 +41,20 @@ def remainder_envelope(m: int) -> float:
 
 
 @dataclass(frozen=True)
+class ErrorBudget:
+    """Scale factor C for the canonical budget C * e^(-(log m)^2 / 8)."""
+
+    c: float = 1.0
+
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.c) and self.c >= 0):
+            raise ValueError(f"budget constant must be finite and nonnegative, got {self.c!r}")
+
+    def scale_for(self, m: float) -> float:
+        return self.c * remainder_envelope(m)
+
+
+@dataclass(frozen=True)
 class DensityReport:
     m: int
     rho: float
@@ -50,10 +64,6 @@ class DensityReport:
     reference: float
     remainder: float
     budget_c: float
-
-    @property
-    def interval(self) -> tuple[float, float]:
-        return (self.lo, self.hi)
 
 
 @dataclass(frozen=True)

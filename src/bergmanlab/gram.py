@@ -1,15 +1,15 @@
 """Bordered Gram matrices and three routes to the (0,0) entry of the inverse.
 
-The truncated model sections (normalized monomials over the truncation disk)
-are exactly orthonormal, so their Gram matrix is the identity; the effect of
-the uncomputable global corrections is carried as per-entry error budgets of
-size C * e^(-(log m)^2 / 8) on the two bordered rows and columns.
+This is the oracle behind density_estimate's closed form and verify's
+schur_vs_inverse suite.  The truncated model sections (normalized monomials
+over the truncation disk) are exactly orthonormal, so their Gram matrix is
+the identity; the effect of the uncomputable global corrections is carried
+as a per-entry error budget on the two bordered rows and columns, whose size
+(the budget policy) is set by density.ErrorBudget.
 """
 
 from __future__ import annotations
 
-import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,8 +19,6 @@ from .quadrature import truncation_radius
 
 __all__ = [
     "NonPositiveDefiniteError",
-    "SingularComplementError",
-    "ErrorBudget",
     "BorderedGram",
     "assemble_truncated_gram",
     "schur_i00",
@@ -31,24 +29,6 @@ __all__ = [
 
 class NonPositiveDefiniteError(ValueError):
     """The Gram matrix is not positive definite."""
-
-
-class SingularComplementError(ValueError):
-    """The Schur complement block is numerically singular."""
-
-
-@dataclass(frozen=True)
-class ErrorBudget:
-    """Scale factor C for the canonical budget C * e^(-(log m)^2 / 8)."""
-
-    c: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.c) and self.c >= 0):
-            raise ValueError(f"budget constant must be finite and nonnegative, got {self.c!r}")
-
-    def scale_for(self, m: float) -> float:
-        return self.c * math.exp(-math.log(m) ** 2 / 8.0)
 
 
 @dataclass
@@ -78,33 +58,12 @@ class BorderedGram:
     def dim(self) -> int:
         return self.entries.shape[0]
 
-    def to_dict(self) -> dict:
-        return {
-            "dim": self.dim,
-            "entries": [[float(v.real), float(v.imag)] for v in self.entries.ravel()],
-            "budgets": [float(b) for b in self.budgets.ravel()],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "BorderedGram":
-        k = int(data["dim"])
-        flat = np.array([complex(re, im) for re, im in data["entries"]])
-        budgets = np.array(data["budgets"], dtype=float).reshape(k, k)
-        return cls(entries=flat.reshape(k, k), budgets=budgets)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "BorderedGram":
-        return cls.from_dict(json.loads(text))
-
 
 def assemble_truncated_gram(
     geom: ModelGeometry,
     m: int,
     extra_degrees: list[int],
-    budget: ErrorBudget,
+    scale: float,
 ) -> BorderedGram:
     """Gram matrix of the normalized truncated monomial sections.
 
@@ -112,7 +71,8 @@ def assemble_truncated_gram(
     (each >= 2, realizing the vanishing-to-first-order subspace).  A radial
     weight makes distinct monomial degrees exactly orthogonal and the
     normalization makes the diagonal exactly 1, so the matrix is the
-    identity; the budgets carry the peak-section correction pattern.
+    identity; the budgets, scale on the two bordered rows and columns, carry
+    the peak-section correction pattern.
     """
     if m < 2:
         raise ValueError("m must be >= 2")
@@ -126,11 +86,8 @@ def assemble_truncated_gram(
     k = 2 + len(degrees)
     entries = np.eye(k, dtype=complex)
     budgets = np.zeros((k, k))
-    scale = budget.scale_for(m)
-    budgets[0, :] = scale
-    budgets[:, 0] = scale
-    budgets[1, :] = scale
-    budgets[:, 1] = scale
+    budgets[:2, :] = scale
+    budgets[:, :2] = scale
     return BorderedGram(entries=entries, budgets=budgets)
 
 
@@ -154,10 +111,8 @@ def schur_i00(G: BorderedGram) -> tuple[float, tuple[float, float]]:
     row = F[0, 1:]
     col = F[1:, 0]
     m_tilde = F[1:, 1:] - np.outer(col, row) / f00
-    try:
-        x = np.linalg.solve(m_tilde, col)
-    except np.linalg.LinAlgError as exc:
-        raise SingularComplementError("Schur complement block is singular") from exc
+    # F is positive definite (the gate above), so its Schur complement is too
+    x = np.linalg.solve(m_tilde, col)
     value = float(1.0 / f00 + (row @ x).real / f00**2)
 
     f_inv = np.linalg.inv(F)

@@ -242,7 +242,7 @@ def lambda0_tail(geom: ModelGeometry, m: int) -> float:
     if rho == 0.0:
         return math.exp(-log_m * log_m)
     x = 0.5 * rho * log_m * log_m / m
-    if not abs(x) < 1.0:
+    if not x > -1.0:  # log1p's domain; the disk check above leaves only rounding here
         raise ValueError(f"m={m} too small for the closed form at rho={rho}")
     return math.exp((-1.0 - 2.0 * m / rho) * math.log1p(x))
 

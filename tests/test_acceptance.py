@@ -17,9 +17,9 @@ from bergmanlab.geometry import (
     log_metric_density,
     polar_ode_residual,
 )
+from bergmanlab.density import ErrorBudget
 from bergmanlab.gram import (
     BorderedGram,
-    ErrorBudget,
     inverse00_oracle,
     orthonormalize_i00,
     schur_i00,

@@ -8,7 +8,6 @@ import pytest
 from exact_moments import exact_moment
 
 from bergmanlab.cli import build_parser, main
-from bergmanlab.gram import BorderedGram
 
 DATA = Path(__file__).parent / "data"
 
@@ -52,14 +51,12 @@ OPTIONS = {
     "verify": {"--eta", "--seed"},
     "cp1": {"--m", "--samples", "--seed"},
     "moments": {"--rho", "--m", "--max-degree", "--radius"},
-    "gram": {"--rho", "--m", "--degrees", "--budget-c", "--out"},
 }
 VALID = {
     "sweep": ["--rho", "0", "--m-list", "100"],
     "verify": [],
     "cp1": ["--m", "3"],
     "moments": ["--rho", "0", "--m", "50", "--max-degree", "0"],
-    "gram": ["--rho", "0", "--m", "100"],
 }
 REMOVED = {"--rel-tol": "1e-6", "--eta": "c1", "--seed": "1", "--v-degrees": "2,3"}
 
@@ -71,7 +68,7 @@ def test_parser_option_sets():
         for name, p in sub.choices.items()
     }
     assert found == OPTIONS
-    assert sum(len(opts) for opts in found.values()) == 21
+    assert sum(len(opts) for opts in found.values()) == 16
 
 
 @pytest.mark.parametrize(
@@ -134,7 +131,6 @@ def test_sweep_rejects_non_finite_budget(c, capsys):
     "argv",
     [
         ["sweep", "--rho", "0", "--m-list", "100"],
-        ["gram", "--rho", "0", "--m", "100"],
     ],
 )
 def test_out_into_missing_directory(argv, tmp_path, capsys):
@@ -269,20 +265,36 @@ def test_moments_command(capsys):
     assert float(rows[("1", "1")][0]) > 0.0
 
 
-def test_gram_command(tmp_path, capsys):
-    out = tmp_path / "gram.json"
-    code, stdout, _ = run(
-        ["gram", "--rho", "0", "--m", "100", "--degrees", "2,3", "--out", str(out)],
-        capsys,
-    )
+def test_gram_command_is_gone(capsys):
+    code, stdout, _ = run(["gram", "--rho", "0", "--m", "100"], capsys)
+    assert code == 2
+    assert stdout == ""
+
+
+@pytest.mark.parametrize("rho", [4, 10])
+def test_sweep_small_m_positive_curvature_matches_mpmath(rho, capsys):
+    # x = rho (log m)^2 / 2m >= 1 at m = 10, 12 and 13 (rho = 4) and at every m here for rho = 10
+    code, out, _ = run(["sweep", "--rho", str(rho), "--m-list", "10,12,13"], capsys)
     assert code == 0
-    G = BorderedGram.from_json(out.read_text())
-    assert G.dim == 4
-    assert "I00 schur" in stdout
+    rows = [line.split(",") for line in out.split("\n")[1:4]]
+    with mpmath.workdps(50):
+        for row in rows:
+            m = int(row[0])
+            x = mpmath.mpf(rho) * mpmath.log(m) ** 2 / (2 * m)
+            t = (1 + x) ** (-1 - mpmath.mpf(2 * m) / rho)
+            exact = (m + mpmath.mpf(rho) / 2) * t / (1 - t)
+            assert abs(float(row[6]) - exact) <= 1e-15 * exact, m
+
+
+def test_sweep_outside_model_disk_exits_2_before_output(capsys):
+    code, out, err = run(["sweep", "--rho", "-8", "--m-list", "10"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_invalid_rho_domain(capsys):
     # truncation disk does not fit in the model disk
-    code, _, err = run(["gram", "--rho", "-50", "--m", "10"], capsys)
+    code, _, err = run(["sweep", "--rho", "-50", "--m-list", "10"], capsys)
     assert code != 0
     assert "error" in err

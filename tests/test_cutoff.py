@@ -87,8 +87,6 @@ def test_weight_params_validation():
         WeightParams(p_prime=0, m=100)
     with pytest.raises(ValueError):
         WeightParams(p_prime=2, m=1)
-    assert WeightParams(p_prime=1, m=10**5).meets_power_threshold
-    assert not WeightParams(p_prime=2, m=100).meets_power_threshold
 
 
 def test_psi_values():

@@ -10,6 +10,7 @@ from bergmanlab import density
 from bergmanlab.density import (
     CSV_HEADER,
     DensityReport,
+    ErrorBudget,
     cp1_density,
     density_estimate,
     expansion_reference,
@@ -19,7 +20,7 @@ from bergmanlab.density import (
     sweep_to_json,
 )
 from bergmanlab.geometry import ModelGeometry
-from bergmanlab.gram import ErrorBudget, assemble_truncated_gram, schur_i00
+from bergmanlab.gram import assemble_truncated_gram, schur_i00
 from bergmanlab.quadrature import lambda0_tail
 
 ZERO = ErrorBudget(0.0)
@@ -187,7 +188,7 @@ def gram_route_estimate(geom, m, budget, extra_degrees):
     reference = expansion_reference(m, geom.rho)
     t = lambda0_tail(geom, m)
     lam0_sq = reference / (1.0 - t)
-    gram = assemble_truncated_gram(geom, m, extra_degrees, budget)
+    gram = assemble_truncated_gram(geom, m, extra_degrees, budget.scale_for(m))
     i00, (_, i00_hi) = schur_i00(gram)
     density = i00 * lam0_sq
     tail = reference * t / (1.0 - t)

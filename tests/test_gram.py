@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bergmanlab.density import ErrorBudget
 from bergmanlab.geometry import ModelGeometry
 from bergmanlab.gram import (
     BorderedGram,
-    ErrorBudget,
     NonPositiveDefiniteError,
     assemble_truncated_gram,
     inverse00_oracle,
@@ -46,18 +46,18 @@ def test_bordered_gram_validation():
 
 
 def test_assemble_minimal():
-    G = assemble_truncated_gram(ModelGeometry(0.0), 50, [], ErrorBudget(1.0))
+    scale = ErrorBudget(1.0).scale_for(50)
+    G = assemble_truncated_gram(ModelGeometry(0.0), 50, [], scale)
     assert G.dim == 2
     assert np.array_equal(G.entries, np.eye(2))
-    scale = ErrorBudget(1.0).scale_for(50)
     assert np.allclose(G.budgets, scale)
 
 
 def test_assemble_block_pattern():
-    G = assemble_truncated_gram(ModelGeometry(0.0), 50, [2, 3], ErrorBudget(1.0))
+    scale = ErrorBudget(1.0).scale_for(50)
+    G = assemble_truncated_gram(ModelGeometry(0.0), 50, [2, 3], scale)
     assert G.dim == 4
     assert np.array_equal(G.entries, np.eye(4))
-    scale = ErrorBudget(1.0).scale_for(50)
     assert np.all(G.budgets[:2, :] == scale)
     assert np.all(G.budgets[:, :2] == scale)
     assert np.all(G.budgets[2:, 2:] == 0.0)
@@ -66,11 +66,11 @@ def test_assemble_block_pattern():
 def test_assemble_validation():
     geom = ModelGeometry(0.0)
     with pytest.raises(ValueError):
-        assemble_truncated_gram(geom, 50, [2, 2], ErrorBudget(1.0))
+        assemble_truncated_gram(geom, 50, [2, 2], 1.0)
     with pytest.raises(ValueError):
-        assemble_truncated_gram(geom, 50, [1], ErrorBudget(1.0))
+        assemble_truncated_gram(geom, 50, [1], 1.0)
     with pytest.raises(Exception):
-        assemble_truncated_gram(ModelGeometry(-8.0), 10, [], ErrorBudget(1.0))
+        assemble_truncated_gram(ModelGeometry(-8.0), 10, [], 1.0)
 
 
 def test_schur_identity():
@@ -147,16 +147,7 @@ def test_budget_monotonicity():
 
 
 def test_zero_budget_truncated_gram_is_exactly_one():
-    G = assemble_truncated_gram(ModelGeometry(-2.0), 100, [2, 3, 4], ErrorBudget(0.0))
+    G = assemble_truncated_gram(ModelGeometry(-2.0), 100, [2, 3, 4], 0.0)
     value, (lo, hi) = schur_i00(G)
     assert value == 1.0
     assert (lo, hi) == (1.0, 1.0)
-
-
-def test_serialization_roundtrip():
-    rng = np.random.default_rng(11)
-    G = random_pd(rng, 4)
-    G.budgets = np.abs(rng.normal(size=(4, 4)))
-    G2 = BorderedGram.from_json(G.to_json())
-    assert np.array_equal(G.entries, G2.entries)
-    assert np.array_equal(G.budgets, G2.budgets)

@@ -124,6 +124,21 @@ def test_closed_form_tail_envelope_negative_curvature():
         assert lambda0_tail(HYPERBOLIC, m) <= 2.0 * math.exp(-math.log(m) ** 2)
 
 
+@pytest.mark.parametrize("rho", [4.0, 10.0])
+def test_tail_matches_mpmath_where_x_reaches_one(rho):
+    # rho > 0: the model is entire and (1 + x)^(-1 - 2m/rho) is exact for every
+    # x = rho (log m)^2 / 2m, also where x >= 1 (m = 10 and 12 at both rho)
+    geom = ModelGeometry(rho)
+    reached = False
+    with mpmath.workdps(50):
+        for m in (2, 3, 10, 12, 13, 14, 100, 1000):
+            x = mpmath.mpf(rho) * mpmath.log(m) ** 2 / (2 * m)
+            reached = reached or x >= 1
+            exact = (1 + x) ** (-1 - 2 * mpmath.mpf(m) / rho)
+            assert abs(lambda0_tail(geom, m) - exact) <= 1e-14 * exact, m
+    assert reached
+
+
 def test_closed_form_preconditions():
     with pytest.raises(ValueError):
         lambda0_closed_form(SPHERE, 1)
