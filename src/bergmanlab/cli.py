@@ -54,14 +54,9 @@ def _write_out(path: str | None, text: str) -> None:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    try:
-        m_values = _parse_m_values(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    m_values = _parse_m_values(args)
     if not m_values:
-        print("error: empty sweep", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("empty sweep")
     result = density.remainder_sweep(args.rho, m_values, density.ErrorBudget(args.budget_c))
     to_text = density.sweep_to_csv if args.format == "csv" else density.sweep_to_json
     _write_out(args.out, to_text(result))
@@ -205,8 +200,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_cp1(args: argparse.Namespace) -> int:
     if args.m < 1 or args.samples < 1:
-        print("error: m and samples must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("m and samples must be >= 1")
     rng = random.Random(args.seed)
     reference = float(args.m + 1)
     max_dev = 0.0

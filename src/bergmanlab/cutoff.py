@@ -46,7 +46,6 @@ class CutoffProfile:
 
     name: str
     d2_bound: float
-    knots: tuple[float, ...]
 
     def eta(self, t: float) -> float:
         raise NotImplementedError
@@ -61,7 +60,6 @@ class CutoffProfile:
 class _PiecewiseQuadratic(CutoffProfile):
     name = "c1"
     d2_bound = 8.0
-    knots = (0.5, 1.0)
 
     def eta(self, t: float) -> float:
         if t <= 0.5:
@@ -90,7 +88,6 @@ class _PiecewiseQuadratic(CutoffProfile):
 class _Smoothstep(CutoffProfile):
     name = "smooth"
     d2_bound = 24.0
-    knots = (0.5, 1.0)
 
     def eta(self, t: float) -> float:
         if t <= 0.5:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .geometry import ModelGeometry
 # The benchmark tracer (bench/spans.py) wraps these two names on this module.
@@ -198,18 +198,6 @@ def sweep_to_json(result: SweepResult) -> str:
     payload = {
         "fitted_c": result.fitted_c,
         "decay_violations": list(result.decay_violations),
-        "reports": [
-            {
-                "m": rep.m,
-                "rho": rep.rho,
-                "density": rep.density,
-                "lo": rep.lo,
-                "hi": rep.hi,
-                "reference": rep.reference,
-                "remainder": rep.remainder,
-                "budget_c": rep.budget_c,
-            }
-            for rep in result.reports
-        ],
+        "reports": [asdict(rep) for rep in result.reports],
     }
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"

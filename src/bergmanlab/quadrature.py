@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 
-from .geometry import ModelGeometry, log_bundle_weight, log_metric_density
+from .geometry import DomainError, ModelGeometry, log_bundle_weight, log_metric_density
 
 __all__ = [
     "RadialMoment",
@@ -41,8 +41,6 @@ __all__ = [
     "lambda0_closed_form",
     "lambda0_tail",
     "monomial_moment",
-    "PeakNormCheck",
-    "peak_norm_bound_check",
     "truncation_radius",
 ]
 
@@ -237,8 +235,12 @@ def lambda0_tail(geom: ModelGeometry, m: int) -> float:
     if m < 2:
         raise ValueError("m must be >= 2")
     log_m = math.log(m)
-    geom.require_inside(truncation_radius(m))
     rho = geom.rho
+    if not truncation_radius(m) < geom.max_radius:
+        raise DomainError(
+            f"m={m} is too small for rho={rho!r}: the truncation disk leaves the model disk "
+            f"of radius {geom.max_radius!r}"
+        )
     if rho == 0.0:
         return math.exp(-log_m * log_m)
     x = 0.5 * rho * log_m * log_m / m
@@ -268,41 +270,3 @@ def monomial_moment(geom: ModelGeometry, m: int, alpha: int, beta: int, radius: 
         return 0.0
     return lambda_inv_sq(geom, m, alpha, radius).value
 
-
-@dataclass(frozen=True)
-class PeakNormCheck:
-    p: int
-    m_values: tuple[int, ...]
-    ratios: tuple[float, ...]
-    max_ratio: float
-    top_decade_variation: float
-    passed: bool
-
-
-def peak_norm_bound_check(geom: ModelGeometry, m_list: list[int], p: int) -> PeakNormCheck:
-    """Empirical boundedness of lambda_p^2 / m^(1+p) over a sweep of m.
-
-    The supremum of the ratio is the empirical constant; the relative spread
-    over the top decade of m measures its stability.
-    """
-    if p > 3:
-        raise ValueError("p must be <= 3")
-    if not m_list:
-        raise ValueError("empty m sweep")
-    ms = tuple(sorted(m_list))
-    ratios = []
-    for m in ms:
-        moment = lambda_inv_sq(geom, m, p, truncation_radius(m))
-        ratios.append(1.0 / (moment.value * float(m) ** (1 + p)))
-    top = [r for m, r in zip(ms, ratios) if m * 10 >= ms[-1]]
-    variation = (max(top) - min(top)) / max(top) if len(top) > 1 else 0.0
-    max_ratio = max(ratios)
-    passed = all(math.isfinite(r) and r > 0.0 for r in ratios)
-    return PeakNormCheck(
-        p=p,
-        m_values=ms,
-        ratios=tuple(ratios),
-        max_ratio=max_ratio,
-        top_decade_variation=variation,
-        passed=passed,
-    )

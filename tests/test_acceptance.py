@@ -29,7 +29,6 @@ from bergmanlab.quadrature import (
     lambda0_tail,
     lambda_inv_sq,
     monomial_moment,
-    peak_norm_bound_check,
     truncation_radius,
 )
 
@@ -213,8 +212,6 @@ def test_criterion_7_cutoff_constraints():
     monotone = True
     for i in range(10_000):
         t = 1.2 * (i + 0.5) / 10_000
-        if min(abs(t - k) for k in C1_PROFILE.knots) < 1e-6:
-            continue
         d1 = C1_PROFILE.eta_d1(t)
         monotone = monotone and -d1 >= -1e-9
         max_d1 = max(max_d1, -d1)
@@ -269,10 +266,14 @@ def test_criterion_10_peak_norm_bound():
     for rho in (-2.0, 0.0, 2.0):
         geom = ModelGeometry(rho)
         for p in (0, 1, 2):
-            check = peak_norm_bound_check(geom, ms, p)
-            assert check.passed
-            worst_var = max(worst_var, check.top_decade_variation)
-            sup = max(sup, check.max_ratio)
+            ratios = [
+                1 / (lambda_inv_sq(geom, m, p, truncation_radius(m)).value * float(m) ** (1 + p))
+                for m in ms
+            ]
+            assert all(math.isfinite(r) and r > 0.0 for r in ratios)
+            top = [r for m, r in zip(ms, ratios) if m * 10 >= ms[-1]]
+            worst_var = max(worst_var, (max(top) - min(top)) / max(top))
+            sup = max(sup, max(ratios))
     report(
         10,
         worst_var <= 0.10,

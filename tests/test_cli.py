@@ -36,11 +36,16 @@ def run(argv, capsys):
              "--points", "200"],
             "sweep_c1_rho2.csv",
         ),
+        (
+            ["--rho", "-0.7", "--budget-c", "1", "--m-range", "10:1000000000000000000",
+             "--points", "20", "--format", "json"],
+            "sweep_c1_rho-0.7.json",
+        ),
     ],
-    ids=["criterion11", "c1_rho-0.7", "c1_rho2"],
+    ids=["criterion11", "c1_rho-0.7", "c1_rho2", "json_c1_rho-0.7"],
 )
 def test_sweep_matches_golden_csv(argv, golden, tmp_path, capsys):
-    out = tmp_path / "sweep.csv"
+    out = tmp_path / "sweep.out"
     assert run(["sweep", *argv, "--out", str(out)], capsys)[0] == 0
     assert out.read_bytes() == (DATA / golden).read_bytes()
 
@@ -154,13 +159,21 @@ def test_sweep_m_list_excludes_m_range(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv, flag",
+    "argv, message",
     [
-        (["sweep", "--rho", "0", "--m-list", "100,1000", "--points", "7"], "--points"),
-        (["verify", "--seed", "-1"], "--seed"),
-        (["moments", "--rho", "0", "--m", "50", "--max-degree", "-1"], "--max-degree"),
-        (["moments", "--rho", "0", "--m", "1"], "--m"),
-        (["moments", "--rho", "0", "--m", "0"], "--m"),
+        (
+            ["sweep", "--rho", "0", "--m-list", "100,1000", "--points", "7"],
+            "--points is only read with --m-range",
+        ),
+        (["verify", "--seed", "-1"], "--seed must be >= 0"),
+        (["moments", "--rho", "0", "--m", "50", "--max-degree", "-1"], "--max-degree must be >= 0"),
+        (["moments", "--rho", "0", "--m", "1"], "--m must be >= 2"),
+        (["moments", "--rho", "0", "--m", "0"], "--m must be >= 2"),
+        (["cp1", "--m", "0"], "m and samples must be >= 1"),
+        (["sweep", "--rho", "1", "--m-range", "0:10"], "bad m range '0:10'"),
+        (["sweep", "--rho", "1", "--m-list", "10", "--points", "3"],
+         "--points is only read with --m-range"),
+        (["sweep", "--rho", "1"], "empty sweep"),
     ],
     ids=[
         "points-without-m-range",
@@ -168,13 +181,17 @@ def test_sweep_m_list_excludes_m_range(capsys):
         "negative-max-degree",
         "moments-m-1",
         "moments-m-0",
+        "cp1-m-0",
+        "m-range-from-0",
+        "points-with-m-list",
+        "empty-sweep",
     ],
 )
-def test_bad_value_exits_2_before_output(argv, flag, capsys):
+def test_bad_value_exits_2_before_output(argv, message, capsys):
     code, out, err = run(argv, capsys)
     assert code == 2
     assert out == ""
-    assert err.startswith("error:") and err.count("\n") == 1 and flag in err
+    assert err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize(
@@ -291,6 +308,7 @@ def test_sweep_outside_model_disk_exits_2_before_output(capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
+    assert "m=10" in err and "rho=-8.0" in err
 
 
 def test_invalid_rho_domain(capsys):
