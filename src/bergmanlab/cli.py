@@ -16,24 +16,28 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 
 
+def _check_m(m):
+    """m unchanged if it does not exceed the largest double; every layer computes with float(m)."""
+    if not m <= sys.float_info.max:
+        raise ValueError(f"m={m} exceeds the largest double {sys.float_info.max!r}")
+    return m
+
+
 def _parse_m_values(args: argparse.Namespace) -> list[int]:
     if args.points is not None and not args.m_range:
         raise ValueError("--points is only read with --m-range")
     if args.m_list:
-        values = [int(tok) for tok in args.m_list.split(",") if tok.strip()]
+        values = [_check_m(int(tok)) for tok in args.m_list.split(",") if tok.strip()]
     elif args.m_range:
         lo_s, _, hi_s = args.m_range.partition(":")
         lo, hi = int(lo_s), int(hi_s)
         if lo <= 0 or hi < lo:
             raise ValueError(f"bad m range {args.m_range!r}")
-        values = sorted(
-            {
-                int(round(v))
-                for v in np.logspace(
-                    math.log10(lo), math.log10(hi), 5 if args.points is None else args.points
-                )
-            }
-        )
+        _check_m(hi)
+        points = 5 if args.points is None else args.points
+        with np.errstate(over="ignore"):  # 10^log10(hi) can round past the largest double
+            grid = np.logspace(math.log10(lo), math.log10(hi), points)
+        values = sorted({int(round(_check_m(v))) for v in grid})
     else:
         values = []
     if any(b <= a for a, b in zip(values, values[1:])):
@@ -57,7 +61,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     m_values = _parse_m_values(args)
     if not m_values:
         raise ValueError("empty sweep")
-    result = density.remainder_sweep(args.rho, m_values, density.ErrorBudget(args.budget_c))
+    result = density.remainder_sweep(args.rho, m_values, args.budget_c)
     to_text = density.sweep_to_csv if args.format == "csv" else density.sweep_to_json
     _write_out(args.out, to_text(result))
 
@@ -116,12 +120,10 @@ def _suite_psi_hessian(args, rng) -> tuple[str, str]:
     geom = geometry.ModelGeometry(-2.0)
     worst = math.inf
     for m, p_prime in ((10**3, 2), (10**4, 2), (10**4, 3)):
-        check = cutoff.psi_hessian_bound_check(
-            cutoff.WeightParams(p_prime=p_prime, m=m), geom, profile
-        )
-        worst = min(worst, check.margin)
-        if not check.passed:
-            return ("FAIL", f"margin {check.margin:.3e} at (m={m}, p'={p_prime})")
+        margin = cutoff.psi_hessian_bound_check(geom, m, p_prime, profile)
+        worst = min(worst, margin)
+        if margin < 0.0:
+            return ("FAIL", f"margin {margin:.3e} at (m={m}, p'={p_prime})")
     return ("PASS", f"min margin {worst:.3e}")
 
 
@@ -201,6 +203,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_cp1(args: argparse.Namespace) -> int:
     if args.m < 1 or args.samples < 1:
         raise ValueError("m and samples must be >= 1")
+    _check_m(args.m)
     rng = random.Random(args.seed)
     reference = float(args.m + 1)
     max_dev = 0.0
@@ -217,6 +220,7 @@ def cmd_cp1(args: argparse.Namespace) -> int:
 def cmd_moments(args: argparse.Namespace) -> int:
     if args.m < 2:
         raise ValueError("--m must be >= 2")
+    _check_m(args.m)
     if args.max_degree < 0:
         raise ValueError("--max-degree must be >= 0")
     geom = geometry.ModelGeometry(args.rho)

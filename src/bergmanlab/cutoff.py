@@ -1,31 +1,27 @@
 """Cut-off profiles and the logarithmic weight used by peak-section bounds.
 
-Two cut-off profiles are shipped.  The "c1" profile is piecewise quadratic
-with second derivative -8 on (1/2, 3/4] and +8 on (3/4, 1); its slope jumps
-at the knots t = 1/2 and t = 1 and stays in [-3, -1] on the transition, so
-the sampled bounds 0 <= -eta' <= 4 and |eta''| <= 8 hold at every non-knot
-point.  No globally C^1 profile with unit drop on a width-1/2 transition can
-satisfy both of those bounds (the extremal slope-trapezoid argument caps the
-drop at 1/2), hence the "smooth" variant: the cubic smoothstep, globally C^1
-with -eta' <= 3 but |eta''| <= 24.
+Two cut-off profiles are shipped, each equal to 1 on [0, 1/2] and 0 on
+[1, inf).  The "c1" profile is piecewise quadratic with second derivative -8
+on (1/2, 3/4] and +8 on (3/4, 1); its slope jumps at the knots t = 1/2 and
+t = 1 and stays in [-3, -1] on the transition, so the sampled bounds
+0 <= -eta' <= 4 and |eta''| <= 8 hold at every non-knot point.  No globally
+C^1 profile with unit drop on a width-1/2 transition can satisfy both of
+those bounds (the extremal slope-trapezoid argument caps the drop at 1/2),
+hence the "smooth" variant: the cubic smoothstep, globally C^1 with
+-eta' <= 3 but |eta''| <= 24.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .geometry import ModelGeometry, metric_density
 
 __all__ = [
-    "PoleError",
-    "CutoffProfile",
     "C1_PROFILE",
     "SMOOTH_PROFILE",
     "get_profile",
-    "WeightParams",
     "psi",
-    "HessianBoundCheck",
     "psi_hessian_bound_check",
 ]
 
@@ -37,27 +33,7 @@ ANGULAR_POINTS = 6
 STEP_SCALE = 1e-3
 
 
-class PoleError(ValueError):
-    """The weight function has a logarithmic pole at the origin."""
-
-
-class CutoffProfile:
-    """A cut-off equal to 1 on [0, 1/2] and 0 on [1, inf)."""
-
-    name: str
-    d2_bound: float
-
-    def eta(self, t: float) -> float:
-        raise NotImplementedError
-
-    def eta_d1(self, t: float) -> float:
-        raise NotImplementedError
-
-    def eta_d2(self, t: float) -> float:
-        raise NotImplementedError
-
-
-class _PiecewiseQuadratic(CutoffProfile):
+class _PiecewiseQuadratic:
     name = "c1"
     d2_bound = 8.0
 
@@ -85,7 +61,7 @@ class _PiecewiseQuadratic(CutoffProfile):
         return -8.0 if t <= 0.75 else 8.0
 
 
-class _Smoothstep(CutoffProfile):
+class _Smoothstep:
     name = "smooth"
     d2_bound = 24.0
 
@@ -110,83 +86,50 @@ class _Smoothstep(CutoffProfile):
         return -24.0 * (1.0 - 2.0 * s)
 
 
-C1_PROFILE: CutoffProfile = _PiecewiseQuadratic()
-SMOOTH_PROFILE: CutoffProfile = _Smoothstep()
+C1_PROFILE = _PiecewiseQuadratic()
+SMOOTH_PROFILE = _Smoothstep()
 
 _PROFILES = {p.name: p for p in (C1_PROFILE, SMOOTH_PROFILE)}
 
 
-def get_profile(name: str) -> CutoffProfile:
+def get_profile(name: str) -> _PiecewiseQuadratic | _Smoothstep:
     try:
         return _PROFILES[name]
     except KeyError:
         raise ValueError(f"unknown cut-off profile {name!r}") from None
 
 
-@dataclass(frozen=True)
-class WeightParams:
-    """Order cap p' and tensor power m, in dimension n = 1."""
-
-    p_prime: int
-    m: int
-
-    def __post_init__(self) -> None:
-        if self.m < 2:
-            raise ValueError("tensor power m must be >= 2")
-        if self.p_prime < 1:
-            raise ValueError("p_prime must be a positive integer")
-
-    @property
-    def degree_factor(self) -> int:
-        return 1 + 2 * self.p_prime
-
-
-def _psi_of_t(params: WeightParams, t: float, profile: CutoffProfile) -> float:
-    if t <= 0.0:
-        raise PoleError("weight function has a logarithmic pole at z = 0")
+def psi(p_prime: int, t: float, profile=C1_PROFILE) -> float:
+    """(1 + 2p') * eta(t) * log(t), with t = m|z|^2 / (log m)^2; ValueError at the pole t <= 0."""
     if t >= 1.0:
         return 0.0
-    return params.degree_factor * profile.eta(t) * math.log(t)
-
-
-def psi(params: WeightParams, z: complex, profile: CutoffProfile = C1_PROFILE) -> float:
-    """(1 + 2p') * eta(m|z|^2 / (log m)^2) * log(m|z|^2 / (log m)^2)."""
-    log_m = math.log(params.m)
-    t = params.m * abs(z) ** 2 / log_m**2
-    return _psi_of_t(params, t, profile)
-
-
-@dataclass(frozen=True)
-class HessianBoundCheck:
-    margin: float
-    passed: bool
-    points_checked: int
+    return (1 + 2 * p_prime) * profile.eta(t) * math.log(t)
 
 
 def psi_hessian_bound_check(
-    params: WeightParams,
-    geom: ModelGeometry,
-    profile: CutoffProfile = C1_PROFILE,
-) -> HessianBoundCheck:
-    """Check d^2 Psi / dz dzbar >= -100 m (1+2p') / (log m)^2 * g / (2 pi).
+    geom: ModelGeometry, m: int, p_prime: int, profile=C1_PROFILE
+) -> float:
+    """The margin of d^2 Psi / dz dzbar >= -100 m (1+2p') / (log m)^2 * g / (2 pi).
 
     The mixed derivative is one quarter of the 5-point Laplacian.  The bound
     is the curvature inequality written for the Kahler form convention
     omega = (i/2pi) g dz ^ dzbar; dropping the 2 pi only loosens it.  The
     grid covers the inner plateau, the transition annulus, and the outer
-    region, staying clear of the logarithmic pole.
+    region, staying clear of the logarithmic pole.  The bound holds where
+    the returned minimum over the grid is >= 0.
     """
-    m = params.m
     log_m = math.log(m)
-    coeff = -100.0 * m * params.degree_factor / log_m**2 / TWO_PI
+    coeff = -100.0 * m * (1 + 2 * p_prime) / log_m**2 / TWO_PI
 
     # eta-argument values; offsets keep stencils off the knot circles.
     t_values = [0.12, 0.25, 0.40, 1.05, 1.15, 1.30]
     for i in range(RADIAL_POINTS):
         t_values.append(0.52 + (0.98 - 0.52) * i / (RADIAL_POINTS - 1))
 
+    def p(xx: float, yy: float) -> float:
+        return psi(p_prime, m * (xx * xx + yy * yy) / log_m**2, profile)
+
     min_margin = math.inf
-    count = 0
     for t in t_values:
         r = log_m * math.sqrt(t / m)
         h = STEP_SCALE * r
@@ -194,16 +137,6 @@ def psi_hessian_bound_check(
         for j in range(ANGULAR_POINTS):
             theta = TWO_PI * (j + 0.5) / ANGULAR_POINTS
             x, y = r * math.cos(theta), r * math.sin(theta)
-
-            def p(xx: float, yy: float) -> float:
-                tt = m * (xx * xx + yy * yy) / log_m**2
-                return _psi_of_t(params, tt, profile)
-
             lap = (p(x + h, y) + p(x - h, y) + p(x, y + h) + p(x, y - h) - 4.0 * p(x, y)) / (h * h)
             min_margin = min(min_margin, 0.25 * lap - coeff * metric_density(geom, complex(x, y)))
-            count += 1
-    return HessianBoundCheck(
-        margin=min_margin,
-        passed=min_margin >= 0.0,
-        points_checked=count,
-    )
+    return min_margin

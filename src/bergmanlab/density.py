@@ -12,7 +12,6 @@ from .gram import assemble_truncated_gram, schur_i00  # noqa: F401
 from .quadrature import lambda0_tail
 
 __all__ = [
-    "ErrorBudget",
     "DensityReport",
     "SweepResult",
     "expansion_reference",
@@ -41,20 +40,6 @@ def remainder_envelope(m: int) -> float:
 
 
 @dataclass(frozen=True)
-class ErrorBudget:
-    """Scale factor C for the canonical budget C * e^(-(log m)^2 / 8)."""
-
-    c: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.c) and self.c >= 0):
-            raise ValueError(f"budget constant must be finite and nonnegative, got {self.c!r}")
-
-    def scale_for(self, m: float) -> float:
-        return self.c * remainder_envelope(m)
-
-
-@dataclass(frozen=True)
 class DensityReport:
     m: int
     rho: float
@@ -73,26 +58,29 @@ class SweepResult:
     decay_violations: tuple[int, ...]
 
 
-def density_estimate(geom: ModelGeometry, m: int, budget: ErrorBudget) -> DensityReport:
+def density_estimate(geom: ModelGeometry, m: int, budget_c: float) -> DensityReport:
     """Density = I00 * lambda_0^2 with a propagated interval.
 
     The truncated sections are exactly orthonormal, so their Gram matrix is
     the identity and the corner of its inverse is I00 = 1; the budget
-    C e^(-(log m)^2 / 8) on the corner entry widens I00 to [1, 1 + scale].
-    The tests check this against schur_i00 on assemble_truncated_gram.  The
-    interval adds the exact gap between lambda_0^2 and m + rho/2, the tail of
-    the truncated normalization integral, which is also the remainder.  It is
-    taken from the tail term directly: the tail sits far below machine
-    epsilon for large m, so density - reference would be rounding noise there.
+    budget_c * e^(-(log m)^2 / 8) on the corner entry widens I00 to
+    [1, 1 + budget].  The tests check this against schur_i00 on
+    assemble_truncated_gram.  The interval adds the exact gap between
+    lambda_0^2 and m + rho/2, the tail of the truncated normalization
+    integral, which is also the remainder.  It is taken from the tail term
+    directly: the tail sits far below machine epsilon for large m, so
+    density - reference would be rounding noise there.
     """
+    if not (math.isfinite(budget_c) and budget_c >= 0):
+        raise ValueError(f"budget constant must be finite and nonnegative, got {budget_c!r}")
     if m < 10:
         raise ValueError("m must be >= 10")
     reference = expansion_reference(m, geom.rho)
     t = lambda0_tail(geom, m)
     lam0_sq = reference / (1.0 - t)
     tail = reference * t / (1.0 - t)
-    # (1 + scale) - 1 rounds as the Gram route's i00_hi - i00 does
-    half = ((1.0 + budget.scale_for(m)) - 1.0) * lam0_sq + tail
+    # (1 + budget) - 1 rounds as the Gram route's i00_hi - i00 does
+    half = ((1.0 + budget_c * remainder_envelope(m)) - 1.0) * lam0_sq + tail
     return DensityReport(
         m=m,
         rho=geom.rho,
@@ -101,7 +89,7 @@ def density_estimate(geom: ModelGeometry, m: int, budget: ErrorBudget) -> Densit
         hi=lam0_sq + half,
         reference=reference,
         remainder=tail,
-        budget_c=budget.c,
+        budget_c=budget_c,
     )
 
 
@@ -153,7 +141,7 @@ def _cp1_window_terms(m: int, log_s: float, log_w: float, mode: int):
             yield math.exp(log_term)
 
 
-def remainder_sweep(rho: float, m_list: list[int], budget: ErrorBudget) -> SweepResult:
+def remainder_sweep(rho: float, m_list: list[int], budget_c: float) -> SweepResult:
     """Run density_estimate over a sweep of m and fit the remainder constant.
 
     fitted_c is the max-ratio estimator max |remainder| * e^((log m)^2 / 8);
@@ -161,7 +149,7 @@ def remainder_sweep(rho: float, m_list: list[int], budget: ErrorBudget) -> Sweep
     relative to its predecessor.
     """
     geom = ModelGeometry(rho)
-    reports = tuple(density_estimate(geom, m, budget) for m in sorted(m_list))
+    reports = tuple(density_estimate(geom, m, budget_c) for m in sorted(m_list))
     fitted_c = 0.0
     normalized = []
     for rep in reports:

@@ -16,7 +16,6 @@ __all__ = [
     "DomainError",
     "ModelGeometry",
     "metric_density",
-    "bundle_weight",
     "log_metric_density",
     "log_bundle_weight",
     "curvature_residual",
@@ -76,10 +75,6 @@ def log_bundle_weight(geom: ModelGeometry, r: float) -> float:
 
 def metric_density(geom: ModelGeometry, z: complex) -> float:
     return math.exp(log_metric_density(geom, abs(z)))
-
-
-def bundle_weight(geom: ModelGeometry, z: complex) -> float:
-    return math.exp(log_bundle_weight(geom, abs(z)))
 
 
 def _log_g_xy(geom: ModelGeometry, x: float, y: float) -> float:

@@ -4,8 +4,7 @@ This is the oracle behind density_estimate's closed form and verify's
 schur_vs_inverse suite.  The truncated model sections (normalized monomials
 over the truncation disk) are exactly orthonormal, so their Gram matrix is
 the identity; the effect of the uncomputable global corrections is carried
-as a per-entry error budget on the two bordered rows and columns, whose size
-(the budget policy) is set by density.ErrorBudget.
+as a per-entry error budget on the two bordered rows and columns.
 """
 
 from __future__ import annotations

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import decimal
 import math
+import sys
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
@@ -54,9 +55,6 @@ SERIES_TOL = Decimal("1e-20")  # the lower series stops when its tail bound is b
 
 @dataclass(frozen=True)
 class RadialMoment:
-    m: int
-    p: int
-    radius: float
     value: float
     abs_err: float
 
@@ -221,8 +219,7 @@ def lambda_inv_sq(geom: ModelGeometry, m: int, p: int, radius: float) -> RadialM
         raise ValueError(
             f"moment at m={m}, p={p}, radius={radius!r} exceeds the double range"
         ) from None
-    value, abs_err = result
-    return RadialMoment(m=m, p=p, radius=radius, value=value, abs_err=abs_err)
+    return RadialMoment(*result)
 
 
 def lambda0_tail(geom: ModelGeometry, m: int) -> float:
@@ -231,6 +228,8 @@ def lambda0_tail(geom: ModelGeometry, m: int) -> float:
     This is (1 + rho (log m)^2 / 2m)^(-1 - 2m/rho) for rho != 0 and
     e^(-(log m)^2) for rho = 0.  It is far below machine epsilon for large m,
     so it is exposed directly instead of being recovered by subtraction.
+    Where x = rho (log m)^2 / 2m is below the normal range or 2m/rho
+    overflows, the power is e^(-(log m)^2) to within a relative O(x).
     """
     if m < 2:
         raise ValueError("m must be >= 2")
@@ -241,9 +240,9 @@ def lambda0_tail(geom: ModelGeometry, m: int) -> float:
             f"m={m} is too small for rho={rho!r}: the truncation disk leaves the model disk "
             f"of radius {geom.max_radius!r}"
         )
-    if rho == 0.0:
-        return math.exp(-log_m * log_m)
     x = 0.5 * rho * log_m * log_m / m
+    if abs(x) < sys.float_info.min or not math.isfinite(2.0 * m / rho):  # rho = 0 stops at x
+        return math.exp(-log_m * log_m)
     if not x > -1.0:  # log1p's domain; the disk check above leaves only rounding here
         raise ValueError(f"m={m} too small for the closed form at rho={rho}")
     return math.exp((-1.0 - 2.0 * m / rho) * math.log1p(x))

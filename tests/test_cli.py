@@ -1,6 +1,7 @@
 import argparse
 import json
 import re
+import sys
 from pathlib import Path
 
 import mpmath
@@ -158,6 +159,10 @@ def test_sweep_m_list_excludes_m_range(capsys):
     assert "not allowed" in err
 
 
+HUGE = str(10**309)  # above 2^1024, the double range
+HUGE_M = f"m={HUGE} exceeds the largest double 1.7976931348623157e+308"
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -174,6 +179,13 @@ def test_sweep_m_list_excludes_m_range(capsys):
         (["sweep", "--rho", "1", "--m-list", "10", "--points", "3"],
          "--points is only read with --m-range"),
         (["sweep", "--rho", "1"], "empty sweep"),
+        (["sweep", "--rho", "0", "--m-list", "10," + HUGE], HUGE_M),
+        (["sweep", "--rho", "0", "--m-range", "10:" + HUGE], HUGE_M),
+        (["moments", "--rho", "0", "--m", HUGE], HUGE_M),
+        (["cp1", "--m", HUGE], HUGE_M),
+        # 10^log10(HI) rounds past the largest double for the top 528 HI below it
+        (["sweep", "--rho", "0", "--m-range", f"10:{int(sys.float_info.max)}"],
+         "m=inf exceeds the largest double 1.7976931348623157e+308"),
     ],
     ids=[
         "points-without-m-range",
@@ -185,6 +197,11 @@ def test_sweep_m_list_excludes_m_range(capsys):
         "m-range-from-0",
         "points-with-m-list",
         "empty-sweep",
+        "huge-m-list",
+        "huge-m-range",
+        "huge-moments-m",
+        "huge-cp1-m",
+        "m-range-end-rounds-past-double",
     ],
 )
 def test_bad_value_exits_2_before_output(argv, message, capsys):

@@ -5,8 +5,6 @@ import pytest
 from bergmanlab.cutoff import (
     C1_PROFILE,
     SMOOTH_PROFILE,
-    PoleError,
-    WeightParams,
     get_profile,
     psi,
     psi_hessian_bound_check,
@@ -78,52 +76,42 @@ def test_get_profile():
         get_profile("c2")
 
 
-def test_weight_params_validation():
-    with pytest.raises(ValueError):
-        WeightParams(p_prime=0, m=100)
-    with pytest.raises(ValueError):
-        WeightParams(p_prime=2, m=1)
-
-
 def test_psi_values():
-    params = WeightParams(p_prime=2, m=100)
-    log_m = math.log(100)
-    # eta-argument at and past 1: the cut-off kills the product.  The boundary
-    # radius is perturbed up by one ulp-scale factor because log_m / sqrt(m)
-    # rounds to an argument a hair below 1.
-    r = log_m / math.sqrt(100) * (1.0 + 1e-15)
-    assert psi(params, r) == 0.0
-    assert psi(params, 2.0 * r) == 0.0
+    # eta-argument at and past 1: the cut-off kills the product.
+    assert psi(2, 1.0) == 0.0
+    assert psi(2, 4.0) == 0.0
     # eta-argument exactly 1/2: eta = 1, value is 5 log(1/2).
-    r = log_m * math.sqrt(0.5 / 100)
-    assert psi(params, r) == pytest.approx(5.0 * math.log(0.5), rel=1e-12)
-    # generic point: direct re-evaluation of the displayed formula.
-    z = 0.1
-    t = 100 * z * z / log_m**2
+    assert psi(2, 0.5) == pytest.approx(5.0 * math.log(0.5), rel=1e-12)
+    # generic point: direct re-evaluation of the displayed formula at z = 0.1, m = 100.
+    t = 100 * 0.1 * 0.1 / math.log(100) ** 2
     expected = 5.0 * C1_PROFILE.eta(t) * math.log(t)
-    assert psi(params, z) == pytest.approx(expected, rel=1e-12)
+    assert psi(2, t) == pytest.approx(expected, rel=1e-12)
 
 
 def test_psi_pole():
-    params = WeightParams(p_prime=2, m=100)
-    with pytest.raises(PoleError):
-        psi(params, 0j)
+    with pytest.raises(ValueError):
+        psi(2, 0.0)
 
 
 def test_psi_nonpositive():
-    params = WeightParams(p_prime=3, m=1000)
-    log_m = math.log(1000)
     for i in range(1, 400):
-        t = 1.3 * i / 400
-        r = log_m * math.sqrt(t / 1000)
-        assert psi(params, r) <= 0.0
+        assert psi(3, 1.3 * i / 400) <= 0.0
 
 
-@pytest.mark.parametrize("m,p_prime", [(10**3, 2), (10**4, 2), (10**4, 3)])
-@pytest.mark.parametrize("profile", [C1_PROFILE, SMOOTH_PROFILE])
-def test_psi_hessian_bound(m, p_prime, profile):
-    params = WeightParams(p_prime=p_prime, m=m)
-    check = psi_hessian_bound_check(params, ModelGeometry(-2.0), profile)
-    assert check.passed
-    assert check.margin >= 0.0
-    assert check.points_checked > 100
+# Margins of the parent implementation, pinned bit for bit.
+@pytest.mark.parametrize(
+    "profile, m, p_prime, expected",
+    [
+        (C1_PROFILE, 10**3, 2, 1092.753411626933),
+        (C1_PROFILE, 10**4, 2, 5549.602404908126),
+        (C1_PROFILE, 10**4, 3, 7769.443366895484),
+        (SMOOTH_PROFILE, 10**3, 2, 1169.7771814106575),
+        (SMOOTH_PROFILE, 10**4, 2, 5932.326886716945),
+        (SMOOTH_PROFILE, 10**4, 3, 8305.257641390954),
+    ],
+    ids=[f"profile{i}-{m}-{p}" for i in (0, 1) for m, p in ((1000, 2), (10000, 2), (10000, 3))],
+)
+def test_psi_hessian_bound(profile, m, p_prime, expected):
+    margin = psi_hessian_bound_check(ModelGeometry(-2.0), m, p_prime, profile)
+    assert margin >= 0.0
+    assert margin == expected

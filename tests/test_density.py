@@ -10,7 +10,6 @@ from bergmanlab import density
 from bergmanlab.density import (
     CSV_HEADER,
     DensityReport,
-    ErrorBudget,
     cp1_density,
     density_estimate,
     expansion_reference,
@@ -23,8 +22,6 @@ from bergmanlab.geometry import ModelGeometry
 from bergmanlab.gram import assemble_truncated_gram, schur_i00
 from bergmanlab.quadrature import lambda0_tail
 
-ZERO = ErrorBudget(0.0)
-
 
 def test_expansion_reference_exact():
     assert expansion_reference(100, -2.0) == 99.0
@@ -35,7 +32,7 @@ def test_expansion_reference_exact():
 
 def test_density_estimate_flat():
     m = 10**4
-    rep = density_estimate(ModelGeometry(0.0), m, ZERO)
+    rep = density_estimate(ModelGeometry(0.0), m, 0.0)
     log_m = math.log(m)
     expected = m / (1.0 - math.exp(-log_m**2))
     assert rep.density == pytest.approx(expected, rel=1e-14)
@@ -45,18 +42,18 @@ def test_density_estimate_flat():
 
 
 def test_density_estimate_references():
-    assert density_estimate(ModelGeometry(2.0), 10**3, ZERO).reference == 1001.0
-    assert density_estimate(ModelGeometry(-2.0), 10**2, ZERO).reference == 99.0
+    assert density_estimate(ModelGeometry(2.0), 10**3, 0.0).reference == 1001.0
+    assert density_estimate(ModelGeometry(-2.0), 10**2, 0.0).reference == 99.0
 
 
 def test_density_estimate_validation():
     with pytest.raises(ValueError):
-        density_estimate(ModelGeometry(0.0), 5, ZERO)
+        density_estimate(ModelGeometry(0.0), 5, 0.0)
 
 
 def test_density_interval_contains_budget_effect():
-    rep0 = density_estimate(ModelGeometry(-2.0), 100, ZERO)
-    rep1 = density_estimate(ModelGeometry(-2.0), 100, ErrorBudget(1.0))
+    rep0 = density_estimate(ModelGeometry(-2.0), 100, 0.0)
+    rep1 = density_estimate(ModelGeometry(-2.0), 100, 1.0)
     assert rep1.hi - rep1.lo > rep0.hi - rep0.lo
     assert rep1.budget_c == 1.0
 
@@ -65,7 +62,7 @@ def test_density_interval_contains_budget_effect():
 def test_remainder_tail_envelope(rho):
     # with zero budget the remainder is exactly the normalization tail
     for m in (10, 100, 10_000):
-        rep = density_estimate(ModelGeometry(rho), m, ZERO)
+        rep = density_estimate(ModelGeometry(rho), m, 0.0)
         assert abs(rep.remainder) <= 2.0 * m * math.exp(-math.log(m) ** 2)
 
 
@@ -73,7 +70,7 @@ def test_remainder_tail_envelope_positive_curvature():
     # for rho > 0 the tail carries an extra exp(rho (log m)^4 / (4m)) factor
     rho = 2.0
     for m in (10, 100, 1000, 10_000):
-        rep = density_estimate(ModelGeometry(rho), m, ZERO)
+        rep = density_estimate(ModelGeometry(rho), m, 0.0)
         log_m = math.log(m)
         bound = 2.0 * m * math.exp(-log_m**2 + rho * log_m**4 / (4.0 * m))
         assert abs(rep.remainder) <= bound
@@ -82,7 +79,7 @@ def test_remainder_tail_envelope_positive_curvature():
 @pytest.mark.parametrize("rho", [-2.0, 0.0, 2.0])
 def test_remainder_within_expansion_envelope(rho):
     for m in (10, 30, 100, 1000):
-        rep = density_estimate(ModelGeometry(rho), m, ZERO)
+        rep = density_estimate(ModelGeometry(rho), m, 0.0)
         assert abs(rep.remainder) <= remainder_envelope(m)
 
 
@@ -177,18 +174,18 @@ def test_truncated_model_matches_cp1_at_center():
     # the sphere-model density estimate agrees with the exact global density
     # within the reported interval (the gap is the truncation tail)
     m = 50
-    rep = density_estimate(ModelGeometry(2.0), m, ZERO)
+    rep = density_estimate(ModelGeometry(2.0), m, 0.0)
     exact = cp1_density(m, 0j)
     half = 0.5 * (rep.hi - rep.lo)
     assert abs(rep.density - exact) <= half * (1.0 + 1e-9) + 1e-12
 
 
-def gram_route_estimate(geom, m, budget, extra_degrees):
+def gram_route_estimate(geom, m, budget_c, extra_degrees):
     """The density row rebuilt through the Gram matrix and its Schur corner."""
     reference = expansion_reference(m, geom.rho)
     t = lambda0_tail(geom, m)
     lam0_sq = reference / (1.0 - t)
-    gram = assemble_truncated_gram(geom, m, extra_degrees, budget.scale_for(m))
+    gram = assemble_truncated_gram(geom, m, extra_degrees, budget_c * remainder_envelope(m))
     i00, (_, i00_hi) = schur_i00(gram)
     density = i00 * lam0_sq
     tail = reference * t / (1.0 - t)
@@ -201,7 +198,7 @@ def gram_route_estimate(geom, m, budget, extra_degrees):
         hi=density + half,
         reference=reference,
         remainder=(i00 - 1.0) * lam0_sq + tail,
-        budget_c=budget.c,
+        budget_c=budget_c,
     )
 
 
@@ -211,11 +208,10 @@ def test_closed_form_matches_gram_route(rho):
     geom = ModelGeometry(rho)
     ms = sorted({int(round(v)) for v in np.logspace(1, 18, 120)})
     for c in (0.0, 1.0, 7.5):
-        budget = ErrorBudget(c)
         for extra in ([], list(range(2, 10))):
             for m in ms:
-                got = density_estimate(geom, m, budget)
-                want = gram_route_estimate(geom, m, budget, extra)
+                got = density_estimate(geom, m, c)
+                want = gram_route_estimate(geom, m, c, extra)
                 for f in fields(DensityReport):
                     assert repr(getattr(got, f.name)) == repr(getattr(want, f.name)), (
                         m, c, extra, f.name,
@@ -223,27 +219,27 @@ def test_closed_form_matches_gram_route(rho):
 
 
 def test_remainder_sweep_flat():
-    result = remainder_sweep(0.0, [100, 1000, 10_000], ZERO)
+    result = remainder_sweep(0.0, [100, 1000, 10_000], 0.0)
     assert len(result.reports) == 3
     assert result.fitted_c <= 1.0
     assert result.decay_violations == ()
 
 
 def test_remainder_sweep_hyperbolic():
-    result = remainder_sweep(-2.0, [100, 1000], ZERO)
+    result = remainder_sweep(-2.0, [100, 1000], 0.0)
     assert math.isfinite(result.fitted_c)
     for rep in result.reports:
         assert abs(rep.remainder) <= result.fitted_c * remainder_envelope(rep.m)
 
 
 def test_remainder_sweep_empty():
-    result = remainder_sweep(0.0, [], ZERO)
+    result = remainder_sweep(0.0, [], 0.0)
     assert result.reports == ()
     assert result.fitted_c == 0.0
 
 
 def test_csv_format():
-    result = remainder_sweep(-2.0, [100, 1000], ZERO)
+    result = remainder_sweep(-2.0, [100, 1000], 0.0)
     text = sweep_to_csv(result)
     lines = text.strip().split("\n")
     assert lines[0] == CSV_HEADER == "m,rho,density,lo,hi,reference,remainder"
@@ -252,13 +248,13 @@ def test_csv_format():
     assert first[0] == "100"
     assert float(first[5]) == 99.0
     # deterministic: re-running the sweep reproduces the bytes
-    assert sweep_to_csv(remainder_sweep(-2.0, [100, 1000], ZERO)) == text
+    assert sweep_to_csv(remainder_sweep(-2.0, [100, 1000], 0.0)) == text
 
 
 def test_json_format():
     import json
 
-    result = remainder_sweep(0.0, [100], ZERO)
+    result = remainder_sweep(0.0, [100], 0.0)
     payload = json.loads(sweep_to_json(result))
     assert payload["reports"][0]["m"] == 100
     assert payload["reports"][0]["reference"] == 100.0

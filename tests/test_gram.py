@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bergmanlab.density import ErrorBudget
+from bergmanlab.density import density_estimate, remainder_envelope
 from bergmanlab.geometry import ModelGeometry
 from bergmanlab.gram import (
     BorderedGram,
@@ -23,17 +23,19 @@ def random_pd(rng, dim):
 
 
 def test_error_budget():
-    b = ErrorBudget(2.0)
-    m = math.exp(10.0)
-    assert b.scale_for(m) == pytest.approx(2.0 * math.exp(-100.0 / 8.0), rel=1e-12)
+    # budget_c widens the interval by budget_c * e^(-(log m)^2 / 8) relative to the density
+    m, geom = math.exp(10.0), ModelGeometry(0.0)
+    wide, plain = density_estimate(geom, m, 2.0), density_estimate(geom, m, 0.0)
+    budget = ((wide.hi - wide.lo) - (plain.hi - plain.lo)) / (2.0 * wide.density)
+    assert budget == pytest.approx(2.0 * math.exp(-100.0 / 8.0), rel=1e-9)
     with pytest.raises(ValueError):
-        ErrorBudget(-1.0)
+        density_estimate(ModelGeometry(0.0), 100, -1.0)
 
 
 @pytest.mark.parametrize("c", [math.inf, math.nan, -math.inf])
 def test_error_budget_rejects_non_finite(c):
     with pytest.raises(ValueError, match="finite"):
-        ErrorBudget(c)
+        density_estimate(ModelGeometry(0.0), 100, c)
 
 
 def test_bordered_gram_validation():
@@ -46,7 +48,7 @@ def test_bordered_gram_validation():
 
 
 def test_assemble_minimal():
-    scale = ErrorBudget(1.0).scale_for(50)
+    scale = remainder_envelope(50)
     G = assemble_truncated_gram(ModelGeometry(0.0), 50, [], scale)
     assert G.dim == 2
     assert np.array_equal(G.entries, np.eye(2))
@@ -54,7 +56,7 @@ def test_assemble_minimal():
 
 
 def test_assemble_block_pattern():
-    scale = ErrorBudget(1.0).scale_for(50)
+    scale = remainder_envelope(50)
     G = assemble_truncated_gram(ModelGeometry(0.0), 50, [2, 3], scale)
     assert G.dim == 4
     assert np.array_equal(G.entries, np.eye(4))

@@ -138,6 +138,18 @@ def test_tail_matches_mpmath_where_x_reaches_one(rho):
     assert reached
 
 
+@pytest.mark.parametrize("rho", [1e-307, -1e-307, 1e-320, -1e-320, 5e-324, -5e-324])
+def test_tail_at_tiny_rho_matches_mpmath(rho):
+    # x = rho (log m)^2 / 2m is below the normal range or 2m/rho overflows; at
+    # 50 digits (1 + x)^(-1 - 2m/rho) cannot resolve such x, the log1p form can
+    geom = ModelGeometry(rho)
+    with mpmath.workdps(50):
+        for m in (10, 100, 10**4, 10**6, 10**10, 10**18, 10**100):
+            x = mpmath.mpf(rho) * mpmath.log(m) ** 2 / (2 * m)
+            exact = mpmath.exp(-(1 + 2 * mpmath.mpf(m) / rho) * mpmath.log1p(x))
+            assert abs(lambda0_tail(geom, m) - exact) <= 1e-13 * exact + 2.0**-1074, m
+
+
 def test_closed_form_preconditions():
     with pytest.raises(ValueError):
         lambda0_closed_form(SPHERE, 1)
