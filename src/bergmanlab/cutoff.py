@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 
-from .geometry import ModelGeometry, metric_density
+from .geometry import ModelGeometry, metric_density, mixed_derivative
 
 __all__ = [
     "C1_PROFILE",
@@ -111,7 +111,7 @@ def psi_hessian_bound_check(
 ) -> float:
     """The margin of d^2 Psi / dz dzbar >= -100 m (1+2p') / (log m)^2 * g / (2 pi).
 
-    The mixed derivative is one quarter of the 5-point Laplacian.  The bound
+    The mixed derivative is geometry.mixed_derivative.  The bound
     is the curvature inequality written for the Kahler form convention
     omega = (i/2pi) g dz ^ dzbar; dropping the 2 pi only loosens it.  The
     grid covers the inner plateau, the transition annulus, and the outer
@@ -137,6 +137,6 @@ def psi_hessian_bound_check(
         for j in range(ANGULAR_POINTS):
             theta = TWO_PI * (j + 0.5) / ANGULAR_POINTS
             x, y = r * math.cos(theta), r * math.sin(theta)
-            lap = (p(x + h, y) + p(x - h, y) + p(x, y + h) + p(x, y - h) - 4.0 * p(x, y)) / (h * h)
-            min_margin = min(min_margin, 0.25 * lap - coeff * metric_density(geom, complex(x, y)))
+            ddbar = mixed_derivative(p, x, y, h)
+            min_margin = min(min_margin, ddbar - coeff * metric_density(geom, complex(x, y)))
     return min_margin

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import asdict, dataclass
 
 from .geometry import ModelGeometry
@@ -25,6 +26,7 @@ __all__ = [
 ]
 
 CSV_HEADER = "m,rho,density,lo,hi,reference,remainder"
+_CSV_FIELDS = operator.attrgetter(*CSV_HEADER.split(","))
 # exp underflows to 0.0 below -745.13; 55 more units of log clear the O(m eps) lgamma rounding
 LOG_FLOOR = -800.0
 
@@ -144,7 +146,8 @@ def _cp1_window_terms(m: int, log_s: float, log_w: float, mode: int):
 def remainder_sweep(rho: float, m_list: list[int], budget_c: float) -> SweepResult:
     """Run density_estimate over a sweep of m and fit the remainder constant.
 
-    fitted_c is the max-ratio estimator max |remainder| * e^((log m)^2 / 8);
+    fitted_c is the max-ratio estimator max |remainder| * e^((log m)^2 / 8),
+    inf where the envelope underflows to 0.0 below a nonzero remainder;
     decay_violations lists the m at which the normalized remainder increased
     relative to its predecessor.
     """
@@ -153,7 +156,11 @@ def remainder_sweep(rho: float, m_list: list[int], budget_c: float) -> SweepResu
     fitted_c = 0.0
     normalized = []
     for rep in reports:
-        ratio = abs(rep.remainder) / remainder_envelope(rep.m)
+        envelope = remainder_envelope(rep.m)  # 0.0 from m near 3e33, where exp underflows
+        if envelope > 0.0:
+            ratio = abs(rep.remainder) / envelope
+        else:
+            ratio = math.inf if rep.remainder else 0.0
         normalized.append(ratio)
         fitted_c = max(fitted_c, ratio)
     violations = tuple(
@@ -162,23 +169,9 @@ def remainder_sweep(rho: float, m_list: list[int], budget_c: float) -> SweepResu
     return SweepResult(reports=reports, fitted_c=fitted_c, decay_violations=violations)
 
 
-def _row(rep: DensityReport) -> str:
-    return ",".join(
-        [
-            str(rep.m),
-            repr(rep.rho),
-            repr(rep.density),
-            repr(rep.lo),
-            repr(rep.hi),
-            repr(rep.reference),
-            repr(rep.remainder),
-        ]
-    )
-
-
 def sweep_to_csv(result: SweepResult) -> str:
     lines = [CSV_HEADER]
-    lines.extend(_row(rep) for rep in result.reports)
+    lines.extend(",".join(map(repr, _CSV_FIELDS(rep))) for rep in result.reports)
     return "\n".join(lines) + "\n"
 
 

@@ -13,18 +13,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 __all__ = [
-    "DomainError",
     "ModelGeometry",
     "metric_density",
     "log_metric_density",
     "log_bundle_weight",
+    "mixed_derivative",
     "curvature_residual",
     "polar_ode_residual",
 ]
-
-
-class DomainError(ValueError):
-    """A point (or its finite-difference stencil) leaves the model disk."""
 
 
 @dataclass(frozen=True)
@@ -43,7 +39,7 @@ class ModelGeometry:
 
     def require_inside(self, r: float, margin: float = 0.0) -> None:
         if r < 0 or not r + margin < self.max_radius:
-            raise DomainError(
+            raise ValueError(
                 f"radius {r!r} (+{margin!r}) outside model disk of radius "
                 f"{self.max_radius!r}"
             )
@@ -77,31 +73,21 @@ def metric_density(geom: ModelGeometry, z: complex) -> float:
     return math.exp(log_metric_density(geom, abs(z)))
 
 
-def _log_g_xy(geom: ModelGeometry, x: float, y: float) -> float:
-    if geom.rho == 0.0:
-        return 0.0
-    return -2.0 * math.log1p(0.5 * geom.rho * (x * x + y * y))
+def mixed_derivative(f, x: float, y: float, h: float) -> float:
+    """d^2 f / dz dzbar at x + iy: one quarter of the 5-point Laplacian, with O(h^2) error."""
+    s = f(x + h, y) + f(x - h, y) + f(x, y + h) + f(x, y - h) - 4.0 * f(x, y)
+    return 0.25 * (s / (h * h))
 
 
 def curvature_residual(geom: ModelGeometry, z: complex, h: float) -> float:
-    """Finite-difference residual of g^-1 d^2(log g)/dz dzbar + rho.
-
-    The mixed Wirtinger derivative is taken as one quarter of the Euclidean
-    Laplacian, evaluated with the standard 5-point stencil; the residual
-    vanishes at rate O(h^2) for the exact model metric.
-    """
+    """Finite-difference residual of g^-1 d^2(log g)/dz dzbar + rho, O(h^2) for the model."""
     if h <= 0:
         raise ValueError("step must be positive")
     geom.require_inside(abs(z), margin=h * math.sqrt(2.0))
-    x, y = z.real, z.imag
-    lap = (
-        _log_g_xy(geom, x + h, y)
-        + _log_g_xy(geom, x - h, y)
-        + _log_g_xy(geom, x, y + h)
-        + _log_g_xy(geom, x, y - h)
-        - 4.0 * _log_g_xy(geom, x, y)
-    ) / (h * h)
-    return 0.25 * lap / metric_density(geom, z) + geom.rho
+    ddbar = mixed_derivative(
+        lambda x, y: log_metric_density(geom, math.hypot(x, y)), z.real, z.imag, h
+    )
+    return ddbar / metric_density(geom, z) + geom.rho
 
 
 def polar_ode_residual(geom: ModelGeometry, r: float, h: float) -> float:
@@ -109,11 +95,9 @@ def polar_ode_residual(geom: ModelGeometry, r: float, h: float) -> float:
     if h <= 0:
         raise ValueError("step must be positive")
     if r - h <= 0:
-        raise DomainError("stencil crosses r = 0")
+        raise ValueError("stencil crosses r = 0")
     geom.require_inside(r, margin=h)
-    gm = math.exp(log_metric_density(geom, r - h))
-    g0 = math.exp(log_metric_density(geom, r))
-    gp = math.exp(log_metric_density(geom, r + h))
+    gm, g0, gp = (metric_density(geom, r + d) for d in (-h, 0.0, h))
     d1 = (gp - gm) / (2.0 * h)
     d2 = (gp - 2.0 * g0 + gm) / (h * h)
     return d2 + d1 / r - d1 * d1 / g0 + 4.0 * geom.rho * g0 * g0

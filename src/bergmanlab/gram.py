@@ -17,17 +17,12 @@ from .geometry import ModelGeometry
 from .quadrature import truncation_radius
 
 __all__ = [
-    "NonPositiveDefiniteError",
     "BorderedGram",
     "assemble_truncated_gram",
     "schur_i00",
     "inverse00_oracle",
     "orthonormalize_i00",
 ]
-
-
-class NonPositiveDefiniteError(ValueError):
-    """The Gram matrix is not positive definite."""
 
 
 @dataclass
@@ -90,13 +85,6 @@ def assemble_truncated_gram(
     return BorderedGram(entries=entries, budgets=budgets)
 
 
-def _cholesky(G: BorderedGram) -> np.ndarray:
-    try:
-        return np.linalg.cholesky(G.entries)
-    except np.linalg.LinAlgError as exc:
-        raise NonPositiveDefiniteError("Gram matrix is not positive definite") from exc
-
-
 def schur_i00(G: BorderedGram) -> tuple[float, tuple[float, float]]:
     """Corner entry of the inverse via the bordered Schur-complement formula.
 
@@ -104,7 +92,7 @@ def schur_i00(G: BorderedGram) -> tuple[float, tuple[float, float]]:
     propagation of the entry budgets: the sensitivity of the corner entry to
     F_ij is -(F^-1)_0i (F^-1)_j0.
     """
-    _cholesky(G)  # positive-definiteness gate
+    np.linalg.cholesky(G.entries)  # positive-definiteness gate: LinAlgError, a ValueError
     F = G.entries
     f00 = F[0, 0].real
     row = F[0, 1:]
@@ -122,7 +110,7 @@ def schur_i00(G: BorderedGram) -> tuple[float, tuple[float, float]]:
 
 def inverse00_oracle(G: BorderedGram) -> float:
     """Reference route: dense LU solve for the first column of the inverse."""
-    _cholesky(G)
+    np.linalg.cholesky(G.entries)
     e0 = np.zeros(G.dim, dtype=complex)
     e0[0] = 1.0
     return float(np.linalg.solve(G.entries, e0)[0].real)
@@ -130,7 +118,7 @@ def inverse00_oracle(G: BorderedGram) -> float:
 
 def orthonormalize_i00(G: BorderedGram) -> float:
     """Orthonormalization route: factor F = L L*, sum |(L^-1)_i0|^2."""
-    L = _cholesky(G)
+    L = np.linalg.cholesky(G.entries)
     e0 = np.zeros(G.dim, dtype=complex)
     e0[0] = 1.0
     y = np.linalg.solve(L, e0)

@@ -7,13 +7,15 @@ for rho != 0, c = 2/|rho|, with y = |rho| R^2 / 2, b = 2m/|rho| - 1 for
 rho < 0 and y = u/(1+u), u = rho R^2 / 2, b = 2m/rho + 1 - p for rho > 0
 (DLMF 8.4, 8.17).  Two routes sum positive terms:
 
-* complement, where b > 0 and Q <= 1/2, in floating point: P (1 - Q) with
-  P = p!/m^a or c^a p!/(b)_a exact and Q = e^-x sum_{k<=p} x^k/k! or
-  (1-y)^b sum_{j<=p} (b)_j y^j/j!, taking 1 - Q as -expm1(log Q) and the
-  boundary factor from the geometry, m log a(R) + log g(R)/2 (+ p log(1+u));
+* complement, where b > 0 is in the double range and Q <= 1/2, in floating
+  point: P (1 - Q) with P = p!/m^a or c^a p!/(b)_a exact and
+  Q = e^-x sum_{k<=p} x^k/k! or (1-y)^b sum_{j<=p} (b)_j y^j/j!, taking
+  1 - Q as -expm1(log Q) and the boundary factor from the geometry,
+  m log a(R) + log g(R)/2 (+ p log(1+u));
 * lower series (DLMF 8.5.1, 8.17.8) elsewhere, in 50-digit decimals from the
   exact rational inputs: x^a e^-x/a sum x^n/(a+1)_n or
-  y^a (1-y)^b/a sum (a+b)_n/(a+1)_n y^n.  Beyond y = 1 - h, h = min(1/2, 8/a),
+  y^a (1-y)^b/a sum (a+b)_n/(a+1)_n y^n, with log(1-y) carried to the digits
+  that 1 - y cancels at tiny y.  Beyond y = 1 - h, h = min(1/2, 8/a),
   it stops at 1 - h and adds the finite binomial expansion of (1-s)^p over
   [1-y, h] (a log term at b + k = 0), whose alternating sum loses at most
   ((1+h)/(1-h))^p <= e^32 of the 50 digits.
@@ -34,7 +36,7 @@ from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 
-from .geometry import DomainError, ModelGeometry, log_bundle_weight, log_metric_density
+from .geometry import ModelGeometry, log_bundle_weight, log_metric_density
 
 __all__ = [
     "RadialMoment",
@@ -83,7 +85,10 @@ def _complement(geom: ModelGeometry, m: int, p: int, radius: float) -> tuple[flo
         top = 2 * m * d + n * (-1 if rho < 0 else 1 - p)  # |rho| b d, an exact integer
         if top <= 0:
             return None
-        b = top / n
+        try:
+            b = top / n
+        except OverflowError:  # 2m/|rho| is beyond the doubles; the series takes b exactly
+            return None
         num, den = math.factorial(p) * (2 * d) ** a, math.prod(top + n * k for k in range(a))
         if rho > 0:
             pieces.append(p * math.log1p(w))
@@ -119,6 +124,20 @@ def _complement(geom: ModelGeometry, m: int, p: int, radius: float) -> tuple[flo
 def _dec(q) -> Decimal:
     q = Fraction(q)
     return Decimal(q.numerator) / Decimal(q.denominator)
+
+
+def _log(q: Fraction) -> Decimal:
+    """log q for rational 0 < q < 1, within UD |log q|.
+
+    With 1 - q >= 10^-k, k digits more than DEC's keep the rounding of q,
+    which moves log q by under 10^-(49+k) / 2, below UD |log q| / 2 since
+    |log q| >= 1 - q; ln rounds correctly.
+    """
+    gap = 1 - q
+    k = (gap.denominator.bit_length() - gap.numerator.bit_length() + 1) * 30103 // 100000 + 1
+    with decimal.localcontext(DEC) as ctx:
+        ctx.prec += k
+        return (Decimal(q.numerator) / q.denominator).ln()
 
 
 def _lower_series(a: int, ab: Decimal | None, z: Decimal) -> tuple[Decimal, int, Decimal]:
@@ -180,9 +199,8 @@ def _series(rho: float, m: int, p: int, radius: float) -> tuple[float, float]:
             y, lo = (-w, 1 + w) if rho < 0 else (w / (1 + w), 1 / (1 + w))
             h = min(Fraction(1, 2), Fraction(8, a))
             zf, zc = (y, lo) if y <= 1 - h else (1 - h, h)
-            log_zc = _dec(zc).ln()
-            z, ab, cz, log_boundary = _dec(zf), _dec(a + b), _dec(2 * zf / sig), _dec(b) * log_zc
-            amplified = (_dec(abs(b)) + 1) * (1 + abs(log_zc))
+            z, ab, cz, log_boundary = _dec(zf), _dec(a + b), _dec(2 * zf / sig), _dec(b) * _log(zc)
+            amplified = 4 * abs(log_boundary)  # b, log zc and their product round by UD each
         s, terms, tail = _lower_series(a, ab, z)
         scale = cz**a * log_boundary.exp() / a  # c^a z^a (1-z)^b / a, or R^2a e^-x / a
         exact = scale * s
@@ -201,9 +219,10 @@ def _series(rho: float, m: int, p: int, radius: float) -> tuple[float, float]:
 def lambda_inv_sq(geom: ModelGeometry, m: int, p: int, radius: float) -> RadialMoment:
     """2 * integral_0^R r^(2p+1) a(r)^m g(r) dr in closed form.
 
-    The complement route where b > 0 and Q <= 1/2, the lower series elsewhere
-    (see the module docstring); abs_err is a proven bound on |value - exact|.
-    A moment beyond the largest double raises ValueError.
+    The complement route where b > 0 is in the double range and Q <= 1/2,
+    the lower series elsewhere (see the module docstring); abs_err is a
+    proven bound on |value - exact|.  A moment beyond the largest double
+    raises ValueError.
     """
     if m < 2:
         raise ValueError("m must be >= 2")
@@ -236,7 +255,7 @@ def lambda0_tail(geom: ModelGeometry, m: int) -> float:
     log_m = math.log(m)
     rho = geom.rho
     if not truncation_radius(m) < geom.max_radius:
-        raise DomainError(
+        raise ValueError(
             f"m={m} is too small for rho={rho!r}: the truncation disk leaves the model disk "
             f"of radius {geom.max_radius!r}"
         )

@@ -6,7 +6,8 @@ rho < 0; y = u / (1 + u), u = rho R^2 / 2, b = 2m/rho + 1 - p for rho > 0).
 Where b > 0 and Q <= 1/2 it is the finite complement P (1 - Q), exact and
 free of cancellation there; mpmath's betainc does not converge at large b y
 (rho = -10, m = 1e8, R = 0.1).  Elsewhere it is mpmath's gammainc or
-betainc.  Both are evaluated at 60 digits from the exact float inputs.
+betainc.  Both are evaluated at 60 digits from the exact float inputs, plus
+the digits that 1 - y cancels at tiny |rho| R^2.
 """
 
 import mpmath
@@ -15,7 +16,8 @@ from mpmath import mpf
 
 def exact_moment(rho, m, p, radius):
     a = p + 1
-    with mpmath.workdps(60):
+    y_digits = 0 if rho == 0 else -int(mpmath.log10(abs(mpf(rho)) * mpf(radius) ** 2))
+    with mpmath.workdps(60 + max(0, y_digits)):
         r2 = mpf(radius) ** 2
         if rho == 0:
             x = m * r2

@@ -1,14 +1,18 @@
 import argparse
+import io
 import json
 import re
 import sys
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import mpmath
 import pytest
 from exact_moments import exact_moment
+from hypothesis import example, given, settings, strategies as st
 
 from bergmanlab.cli import build_parser, main
+from bergmanlab.density import remainder_envelope
 
 DATA = Path(__file__).parent / "data"
 
@@ -217,6 +221,7 @@ def test_bad_value_exits_2_before_output(argv, message, capsys):
         (0.0, 10_000, 10, 30.0),  # 10!/10^44 = 3.6288e-38
         (-6.0, 10**8, 40, 0.577),  # 8.159e-281
         (2.0, 100, 200, 30.0),  # 2.659e290, b = -99 at p = 200
+        (1e-320, 100, 30, 0.46051701859880917),  # 2m/rho passes the largest double
     ],
 )
 def test_moments_table_entry_matches_mpmath(rho, m, p, radius, capsys):
@@ -256,6 +261,16 @@ def test_verify_default_passes(capsys):
         "cp1_constancy",
     ):
         assert f"PASS {suite}" in stdout
+
+
+@pytest.mark.parametrize("eta", ["c1", "smooth"])
+@pytest.mark.parametrize("seed", [0, 7])
+def test_verify_matches_golden(seed, eta, capsys):
+    code, stdout, _ = run(["verify", "--seed", str(seed), "--eta", eta], capsys)
+    assert code == 0
+    # schur_vs_inverse goes through LAPACK, whose last bits depend on the build
+    pinned = [line for line in stdout.splitlines(True) if "schur_vs_inverse" not in line]
+    assert "".join(pinned) == (DATA / f"verify_seed{seed}_{eta}.txt").read_text()
 
 
 def test_verify_recurrence_stays_below_oracle_deviation(capsys):
@@ -318,6 +333,22 @@ def test_sweep_small_m_positive_curvature_matches_mpmath(rho, capsys):
             t = (1 + x) ** (-1 - mpmath.mpf(2 * m) / rho)
             exact = (m + mpmath.mpf(rho) / 2) * t / (1 - t)
             assert abs(float(row[6]) - exact) <= 1e-15 * exact, m
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.floats(min_value=-2.0, max_value=1e300),
+    st.lists(st.integers(min_value=10, max_value=10**40), min_size=1, max_size=4, unique=True),
+)
+@example(0.0, [10, 10**34])  # e^(-(log m)^2/8) underflows to 0.0 from m near 3e33
+@example(1e300, [10, 10**34])  # remainder 1.6e30 there
+def test_sweep_verdict_is_envelope_check(rho, ms):
+    sink = io.StringIO()
+    with redirect_stdout(sink):
+        code = main(["sweep", f"--rho={rho!r}", "--m-list", ",".join(map(str, sorted(ms)))])
+    rows = [line.split(",") for line in sink.getvalue().split("\n")[1 : len(ms) + 1]]
+    held = all(abs(float(row[6])) <= remainder_envelope(int(row[0])) for row in rows)
+    assert code == (0 if held else 1)
 
 
 def test_sweep_outside_model_disk_exits_2_before_output(capsys):

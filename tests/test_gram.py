@@ -8,7 +8,6 @@ from bergmanlab.density import density_estimate, remainder_envelope
 from bergmanlab.geometry import ModelGeometry
 from bergmanlab.gram import (
     BorderedGram,
-    NonPositiveDefiniteError,
     assemble_truncated_gram,
     inverse00_oracle,
     orthonormalize_i00,
@@ -133,7 +132,7 @@ def test_three_routes_agree(seed, dim):
 def test_non_pd_rejected():
     G = BorderedGram(entries=np.array([[1.0, 2.0], [2.0, 1.0]], dtype=complex))
     for fn in (schur_i00, inverse00_oracle, orthonormalize_i00):
-        with pytest.raises(NonPositiveDefiniteError):
+        with pytest.raises(np.linalg.LinAlgError):
             fn(G)
 
 

@@ -150,6 +150,20 @@ def test_tail_at_tiny_rho_matches_mpmath(rho):
             assert abs(lambda0_tail(geom, m) - exact) <= 1e-13 * exact + 2.0**-1074, m
 
 
+@pytest.mark.parametrize(
+    "rho", [s * v for v in (1e-20, 1e-40, 1e-55, 1e-320, 5e-324) for s in (1.0, -1.0)]
+)
+def test_moment_at_tiny_rho_matches_mpmath(rho):
+    # 1 - y cancels about log10(1/y) digits and 2m/|rho| can pass the largest
+    # double; p = 30 at m = 100 takes the lower series
+    geom = ModelGeometry(rho)
+    for m in (100, 10**6):
+        for p in (0, 3, 30):
+            got, rel, holds = check_against_mpmath(geom, m, p, truncation_radius(m))
+            assert rel <= 1e-13 and holds, (m, p, got, rel)
+            assert got.abs_err <= 1e-12 * got.value, (m, p, got)
+
+
 def test_closed_form_preconditions():
     with pytest.raises(ValueError):
         lambda0_closed_form(SPHERE, 1)
