@@ -257,7 +257,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.set_defaults(func=cmd_verify)
 
-    p_cp1 = sub.add_parser("cp1", help="exact sphere-model density check")
+    p_cp1 = sub.add_parser(
+        "cp1",
+        help="exact sphere-model density check",
+        description="Exact sphere-model density check against m + 1.  The cost of "
+        "one sample grows as sqrt(m): about 3 s at m = 1e12; m near 1e20 is out of reach.",
+    )
     p_cp1.add_argument("--m", type=int, required=True)
     p_cp1.add_argument("--samples", type=int, default=20)
     p_cp1.add_argument("--seed", type=int, default=0)

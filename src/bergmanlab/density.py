@@ -27,8 +27,6 @@ __all__ = [
 
 CSV_HEADER = "m,rho,density,lo,hi,reference,remainder"
 _CSV_FIELDS = operator.attrgetter(*CSV_HEADER.split(","))
-# exp underflows to 0.0 below -745.13; 55 more units of log clear the O(m eps) lgamma rounding
-LOG_FLOOR = -800.0
 
 
 def expansion_reference(m: int, rho: float) -> float:
@@ -99,48 +97,109 @@ def cp1_density(m: int, z: complex) -> float:
     """Exact global density on the sphere model, summed over its live window.
 
     Basis z^k, k = 0..m, with exact Beta-integral norms
-    lambda_k^-2 = k!(m-k)!/(m+1)!; each term is evaluated in log space.  The
-    analytic simplification is the constant m + 1 (equivalently
-    expansion_reference(m, 2)); the term sum must reproduce it, realizing the
-    expansion with identically zero remainder.
+    lambda_k^-2 = k!(m-k)!/(m+1)!.  The terms are m + 1 times the
+    Binomial(m, p) mass, p = s/(1+s), so they sum to the constant m + 1
+    (expansion_reference(m, 2)): the expansion with identically zero
+    remainder.  The sum is unchanged by z -> 1/z (k -> m - k), so s = |z|^2 is
+    taken <= 1, which also keeps it inside the float range.
 
-    The terms are m + 1 times a Binomial(m, s/(1+s)) mass, s = |z|^2, so their
-    log is concave in k.  The sum starts at the binomial mode and walks
-    outward on each side until the first log-term below LOG_FLOOR.  Near the
-    floor one step of k changes the log-term by far more than the O(m eps)
-    rounding of the lgamma expression, so every term beyond it has a log
-    below exp's underflow at -745.13 and is exactly 0.0.  fsum is exactly
-    rounded, so the window's sum equals the sum over all k = 0..m bit for bit.
+    The term at k0 = floor(m p) is evaluated in Loader's saddle-point form
+    (stirlerr + bd0; C. Loader, "Fast and Accurate Computation of Binomial
+    Probabilities", 2000), or as (m + 1) (1 + s)^-m at k0 = 0.  The walk
+    outward multiplies by the exact ratio of neighbouring terms.
+
+    Error bound, u = 2^-53, sigma = sqrt(m p q): the k0 term is off by at most
+    10u and each step adds at most 3u, so the result is within
+    (3 sigma + 14) u + 2^-63 of m + 1, relatively.  The window holds about
+    18 sigma <= 9 sqrt(m) terms: m = 1e12 takes seconds, and m near 1e20 at
+    |z| near 1 (about 1e11 terms) is out of reach.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    try:
-        s = abs(z) ** 2
-    except OverflowError:
-        # |z|^2 exceeds the float range, where log1p(s) rounds to log(s)
-        log_s = log_w = 2.0 * math.log(abs(z))
-        mode = m
+    r = abs(z)
+    s = (1.0 / r if r > 1.0 else r) ** 2
+    a, b = s.as_integer_ratio()  # s = a/b exactly, so p = a/(a+b) <= 1/2
+    k0 = m * a // (a + b)
+    if k0 == 0:
+        term = (m + 1) * math.exp(-m * math.log1p(s))
     else:
-        if s == 0.0:
-            return float(m + 1)
-        log_s = math.log(s)
-        log_w = math.log1p(s)
-        mode = min(m, int((m + 1) * (s / (1 + s))))
-    return math.fsum(_cp1_window_terms(m, log_s, log_w, mode))
+        d = (k0 * (a + b) - m * a) / (a + b)  # k0 - m p in (-1, 0], correctly rounded
+        term = (m + 1) * math.sqrt(m / (k0 * (m - k0)) / math.tau) * math.exp(
+            _stirlerr(m) - _stirlerr(k0) - _stirlerr(m - k0) - _bd0(k0, d) - _bd0(m - k0, -d)
+        )
+    return math.fsum(_cp1_walk(m, s, k0, term))
 
 
-def _cp1_window_terms(m: int, log_s: float, log_w: float, mode: int):
-    """Terms of cp1_density from the mode outward, each side cut at LOG_FLOOR."""
-    lgamma_m2 = math.lgamma(m + 2)
-    m_log_w = m * log_w
-    for side in (range(mode, m + 1), range(mode - 1, -1, -1)):
-        for k in side:
-            log_term = (
-                lgamma_m2 - math.lgamma(k + 1) - math.lgamma(m - k + 1) + k * log_s - m_log_w
-            )
-            if log_term < LOG_FLOOR:
-                break
-            yield math.exp(log_term)
+# A side of the window stops once the mass beyond it is below this share of
+# the sum so far; the two sides then cut at most 2^-63, below u / 1000.
+_TAIL_SHARE = 2.0**-64
+
+
+def _cp1_walk(m: int, s: float, k0: int, term: float):
+    """Terms of cp1_density from the k0 term outward, each side cut by a tail bound.
+
+    The ratio r of neighbouring terms falls monotonically away from the mode,
+    so the mass beyond a term t is at most the geometric series t r / (1 - r)
+    once r < 1.  Each ratio is one correctly rounded int / int division and
+    one product with s.
+    """
+    yield term
+    total = t = term
+    for k in range(k0, m):
+        r = s * ((m - k) / (k + 1))  # T_{k+1} / T_k
+        if r < 1.0 and t * r < (1.0 - r) * _TAIL_SHARE * total:
+            break
+        t *= r
+        total += t
+        yield t
+    t = term
+    for k in range(k0, 0, -1):
+        r = (k / (m - k + 1)) / s  # T_{k-1} / T_k
+        if r < 1.0 and t * r < (1.0 - r) * _TAIL_SHARE * total:
+            break
+        t *= r
+        total += t
+        yield t
+
+
+# stirlerr(n) for n = 1..15 from mpmath at 50 digits; above, the Stirling
+# series sum of B_2j / (2j (2j - 1) n^(2j - 1)), its coefficients listed for
+# j = 7 down to 1, whose first omitted term is below 3e-20 from n = 16 on
+_STIRLERR_TABLE = (
+    0.08106146679532726, 0.0413406959554093, 0.02767792568499834, 0.020790672103765093,
+    0.016644691189821193, 0.013876128823070748, 0.01189670994589177, 0.010411265261972096,
+    0.009255462182712733, 0.00833056343336287, 0.007573675487951841, 0.00694284010720953,
+    0.006408994188004207, 0.0059513701127588475, 0.005554733551962801,
+)
+_STIRLERR_SERIES = (1 / 156, -691 / 360360, 1 / 1188, -1 / 1680, 1 / 1260, -1 / 360, 1 / 12)
+
+
+def _stirlerr(n: int) -> float:
+    """log(n!) - log(sqrt(2 pi n) (n/e)^n), the error of Stirling's formula, n >= 1."""
+    if n <= len(_STIRLERR_TABLE):
+        return _STIRLERR_TABLE[n - 1]
+    x = 1.0 / n
+    total = 0.0
+    for c in _STIRLERR_SERIES:
+        total = total * x * x + c
+    return total * x
+
+
+def _bd0(x: int, d: float) -> float:
+    """Loader's deviance term x log(x/M) + M - x at M = x - d > 0, for x >= 1.
+
+    Near M the closed form cancels, so for |d| < (x + M) / 10 it is the series
+    d v + 2x v (v^2/3 + ... + v^16/17), v = d / (x + M); the next term is
+    below u/2 of the sum as v^2 < 1/100.
+    """
+    total = x + (x - d)
+    if abs(d) >= 0.1 * total:
+        return x * math.log(x / (x - d)) - d
+    v = d / total
+    series = 0.0
+    for j in range(17, 1, -2):
+        series = (series + 1.0 / j) * v * v
+    return d * v + 2.0 * x * v * series
 
 
 def remainder_sweep(rho: float, m_list: list[int], budget_c: float) -> SweepResult:
@@ -177,8 +236,9 @@ def sweep_to_csv(result: SweepResult) -> str:
 
 def sweep_to_json(result: SweepResult) -> str:
     payload = {
-        "fitted_c": result.fitted_c,
+        # JSON has no infinity; "inf" matches the fitted_C = inf line of the sweep command
+        "fitted_c": result.fitted_c if math.isfinite(result.fitted_c) else "inf",
         "decay_violations": list(result.decay_violations),
         "reports": [asdict(rep) for rep in result.reports],
     }
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"

@@ -124,6 +124,23 @@ def test_sweep_json(tmp_path, capsys):
     assert [r["m"] for r in payload["reports"]] == [100, 1000]
 
 
+def test_sweep_json_writes_infinite_fit_as_string(capsys):
+    # the envelope underflows to 0.0 at m = 1e34 below a nonzero remainder
+    code, stdout, _ = run(
+        ["sweep", "--rho", "1e300", "--m-list", "10,10000000000000000000000000000000000",
+         "--format", "json"],
+        capsys,
+    )
+    assert code == 1
+    assert stdout.endswith("fitted_C = inf\nenvelope exp(-(log m)^2/8): FAIL\n")
+
+    def reject(name):
+        raise ValueError(f"not JSON: {name}")
+
+    text = stdout[: stdout.index("fitted_C = ")]
+    assert json.loads(text, parse_constant=reject)["fitted_c"] == "inf"
+
+
 def test_sweep_empty_is_error(capsys):
     code, _, err = run(["sweep", "--rho", "0"], capsys)
     assert code != 0

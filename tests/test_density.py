@@ -1,10 +1,15 @@
 import math
 import random
+import time
 import tracemalloc
 from dataclasses import fields
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bergmanlab import density
 from bergmanlab.density import (
@@ -87,23 +92,43 @@ def test_cp1_two_sections():
     assert cp1_density(1, 0j) == pytest.approx(2.0, rel=1e-14)
 
 
-def cp1_term_list(m, z):
-    """The oracle's per-degree terms, built as a list in log space."""
-    s = abs(z) ** 2
-    log_s = math.log(s) if s > 0.0 else -math.inf
-    log_w = math.log1p(s)
-    terms = []
-    for k in range(m + 1):
-        if s == 0.0:
-            terms.append(float(m + 1) if k == 0 else 0.0)
-            continue
-        log_lambda_sq = math.lgamma(m + 2) - math.lgamma(k + 1) - math.lgamma(m - k + 1)
-        terms.append(math.exp(log_lambda_sq + k * log_s - m * log_w))
-    return terms
+U = 2.0**-53
 
 
-def test_cp1_matches_term_list_route():
-    # the windowed sum reproduces the fsum of the full term list bit for bit,
+def cp1_bound(m, z):
+    """cp1_density's stated relative error bound (3 sigma + 14) u + 2^-63."""
+    r = abs(z)
+    s = min(r, 1.0 / r) ** 2 if r else 0.0
+    sigma = math.sqrt(m * s) / (1.0 + s)
+    return (3.0 * sigma + 14.0) * U + 2.0**-63
+
+
+def cp1_rel_err(m, value):
+    return float(abs(Fraction(value) - (m + 1)) / (m + 1))
+
+
+def mp_cp1_sum(m, z):
+    """The oracle's terms (m + 1) C(m, k) s^k / (1 + s)^m summed in mpmath at 40 digits.
+
+    All m + 1 terms up to m = 1000; above, k within 20 sigma + 20 of the
+    mode, whose sum the caller checks against m + 1 to 30 digits.
+    """
+    with mpmath.workdps(40):
+        s = mpmath.mpf(abs(z)) ** 2
+        p, q = s / (1 + s), 1 / (1 + s)
+        sigma = math.sqrt(m * float(p * q))
+        mode = int(mpmath.floor((m + 1) * p))
+        lo, hi = (0, m) if m <= 1000 else (max(0, mode - int(20 * sigma) - 20),
+                                          min(m, mode + int(20 * sigma) + 20))
+        term = (m + 1) * mpmath.binomial(m, lo) * p**lo * q ** (m - lo)
+        total = term
+        for k in range(lo, hi):
+            term *= s * (m - k) / (k + 1)
+            total += term
+        return total
+
+
+def test_cp1_matches_mpmath_sum():
     # also where the window meets k = 0 (|z| = 1e-160, 1e-3) or k = m (|z| = 30, 1e10)
     rng = random.Random(0)
     edges = [complex(0.6 * r, 0.8 * r) for r in (1e-160, 1e-3, 30.0, 1e10)]
@@ -113,25 +138,82 @@ def test_cp1_matches_term_list_route():
             r, theta = rng.uniform(0.0, 3.0), rng.uniform(0.0, 2.0 * math.pi)
             zs.append(complex(r * math.cos(theta), r * math.sin(theta)))
         for z in zs:
-            assert repr(cp1_density(m, z)) == repr(math.fsum(cp1_term_list(m, z))), (m, z)
+            exact = mp_cp1_sum(m, z)
+            assert abs(exact - (m + 1)) <= 1e-30 * (m + 1), (m, z)
+            value = cp1_density(m, z)
+            assert abs(value - exact) <= cp1_bound(m, z) * exact, (m, z)
 
 
 def test_cp1_window_is_narrow(monkeypatch):
-    # each term costs two lgamma calls; the full sum at m = 1e6 would take 1_000_001 terms
-    calls = 0
+    # the full sum at m = 1e6 would take 1_000_001 terms; the window is about 18 sigma
+    summed = 0
 
     class CountingMath:
         def __getattr__(self, name):
             return getattr(math, name)
 
-        def lgamma(self, x):
-            nonlocal calls
-            calls += 1
-            return math.lgamma(x)
+        def fsum(self, terms):
+            nonlocal summed
+            terms = list(terms)
+            summed += len(terms)
+            return math.fsum(terms)
 
     monkeypatch.setattr(density, "math", CountingMath())
-    assert cp1_density(10**6, 1.5 + 0j) == pytest.approx(10**6 + 1.0, rel=1e-7)
-    assert calls // 2 < 100_000
+    assert cp1_density(10**6, 1.5 + 0j) == pytest.approx(10**6 + 1.0, rel=1e-12)
+    assert 0 < summed < 12_000
+
+
+def test_stirlerr_matches_mpmath():
+    with mpmath.workdps(50):
+        for n in list(range(1, 16)) + [16, 20, 100, 1000]:
+            log_stirling = (n + 0.5) * mpmath.log(n) - n + mpmath.log(2 * mpmath.pi) / 2
+            exact = mpmath.loggamma(n + 1) - log_stirling
+            value = density._stirlerr(n)
+            assert abs(value - exact) <= 1.5 * math.ulp(value), n
+
+
+@pytest.mark.parametrize(
+    "x, d",
+    [(1, 0.5), (1, -3.0), (2, 1.9), (2, 0.5), (5, -40.0),  # |d| >= (x + M) / 10: closed form
+     (7, 0.25), (10, 0.3), (1000, -0.999), (12345, 1e-9), (10**6, 0.7), (10**15, -0.5)],
+)
+def test_bd0_matches_mpmath(x, d):
+    with mpmath.workdps(50):
+        big_m = x - mpmath.mpf(d)
+        x_log = x * mpmath.log(x / big_m)
+        exact = x_log + big_m - x
+    if abs(d) >= 0.1 * (x + big_m):
+        # the closed form x log(x/M) - d cancels; its rounding is relative to the two terms
+        tol = 4 * U * (abs(x_log) + abs(d))
+    else:
+        tol = 4 * U * exact
+    assert abs(density._bd0(x, d) - exact) <= tol, (x, d)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    m=st.integers(1, 10**6),
+    log_r=st.one_of(st.just(None), st.floats(-200.0, 300.0)),
+    theta=st.floats(0.0, 2.0 * math.pi),
+)
+def test_cp1_within_bound(m, log_r, theta):
+    r = 0.0 if log_r is None else 10.0**log_r
+    z = complex(r * math.cos(theta), r * math.sin(theta))
+    assert cp1_rel_err(m, cp1_density(m, z)) <= cp1_bound(m, z)
+
+
+@pytest.mark.parametrize(
+    "m, r",
+    [(10**6, 1e150), (10**6, 1e300), (10**20, 1e12), (10**300, 1e300)],
+)
+def test_cp1_far_points(m, r):
+    # the lgamma route was off by 2.6e-8 and 9.3e-8 at the first two points,
+    # returned about 1e4 at the third and did not return at the last
+    z = complex(0.6 * r, 0.8 * r)
+    start = time.perf_counter()
+    value = cp1_density(m, z)
+    assert time.perf_counter() - start < 0.1
+    assert cp1_rel_err(m, value) <= cp1_bound(m, z)
 
 
 @pytest.mark.parametrize("r", [1e160, 1e200, 1e300])
