@@ -81,6 +81,8 @@ def density_estimate(geom: ModelGeometry, m: int, budget_c: float) -> DensityRep
     tail = reference * t / (1.0 - t)
     # (1 + budget) - 1 rounds as the Gram route's i00_hi - i00 does
     half = ((1.0 + budget_c * remainder_envelope(m)) - 1.0) * lam0_sq + tail
+    if not math.isfinite(lam0_sq + half):  # then lo and hi are doubles too
+        raise ValueError(f"--budget-c {budget_c!r} puts the interval at m={m} beyond the doubles")
     return DensityReport(
         m=m,
         rho=geom.rho,
@@ -111,13 +113,16 @@ def cp1_density(m: int, z: complex) -> float:
     Error bound, u = 2^-53, sigma = sqrt(m p q): the k0 term is off by at most
     10u and each step adds at most 3u, so the result is within
     (3 sigma + 14) u + 2^-63 of m + 1, relatively.  The window holds about
-    18 sigma <= 9 sqrt(m) terms: m = 1e12 takes seconds, and m near 1e20 at
-    |z| near 1 (about 1e11 terms) is out of reach.
+    18 sigma <= 9 sqrt(m) terms, m = 1e12 takes seconds; a window predicted
+    above MAX_WINDOW terms (about 4 s) raises ValueError.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     r = abs(z)
     s = (1.0 / r if r > 1.0 else r) ** 2
+    terms = 18.0 * math.sqrt(m * s) / (1.0 + s)  # the window, 18 sqrt(m p (1 - p))
+    if terms > MAX_WINDOW:
+        raise ValueError(f"{terms:.1e}-term window at m={m}, |z|={r!r} exceeds {MAX_WINDOW:.0e}")
     a, b = s.as_integer_ratio()  # s = a/b exactly, so p = a/(a+b) <= 1/2
     k0 = m * a // (a + b)
     if k0 == 0:
@@ -129,6 +134,8 @@ def cp1_density(m: int, z: complex) -> float:
         )
     return math.fsum(_cp1_walk(m, s, k0, term))
 
+
+MAX_WINDOW = 1e7  # terms, about 4 s; 9 sqrt(m) fits it up to m = 1.2e12
 
 # A side of the window stops once the mass beyond it is below this share of
 # the sum so far; the two sides then cut at most 2^-63, below u / 1000.

@@ -43,7 +43,6 @@ __all__ = [
     "lambda_inv_sq",
     "lambda0_closed_form",
     "lambda0_tail",
-    "monomial_moment",
     "truncation_radius",
 ]
 
@@ -260,6 +259,8 @@ def lambda0_tail(geom: ModelGeometry, m: int) -> float:
             f"of radius {geom.max_radius!r}"
         )
     x = 0.5 * rho * log_m * log_m / m
+    if math.isinf(x):  # rho (log m)^2 / 2 passed the largest double before the division
+        x = 0.5 * rho / m * log_m * log_m
     if abs(x) < sys.float_info.min or not math.isfinite(2.0 * m / rho):  # rho = 0 stops at x
         return math.exp(-log_m * log_m)
     if not x > -1.0:  # log1p's domain; the disk check above leaves only rounding here
@@ -274,17 +275,3 @@ def lambda0_closed_form(geom: ModelGeometry, m: int) -> float:
     rho != 0 and (1 - e^(-(log m)^2)) / m for rho = 0.
     """
     return (1.0 - lambda0_tail(geom, m)) / (m + 0.5 * geom.rho)
-
-
-def monomial_moment(geom: ModelGeometry, m: int, alpha: int, beta: int, radius: float) -> float:
-    """Disk integral of z^alpha zbar^beta a^m g; exactly zero off the diagonal.
-
-    Rotational symmetry kills the angular integral whenever alpha != beta, so
-    that case short-circuits to an exact 0 rather than a computed one.
-    """
-    if alpha < 0 or beta < 0:
-        raise ValueError("monomial degrees must be nonnegative")
-    if alpha != beta:
-        return 0.0
-    return lambda_inv_sq(geom, m, alpha, radius).value
-

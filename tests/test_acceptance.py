@@ -27,7 +27,6 @@ from bergmanlab.quadrature import (
     lambda0_closed_form,
     lambda0_tail,
     lambda_inv_sq,
-    monomial_moment,
     truncation_radius,
 )
 
@@ -236,14 +235,35 @@ def test_criterion_9_moment_symmetry():
     geom = ModelGeometry(-2.0)
     m = 50
     R = truncation_radius(m)
-    for alpha in range(7):
-        for beta in range(7):
-            if alpha != beta:
-                assert monomial_moment(geom, m, alpha, beta, R) == 0j
+    deg = 7
+    # all moments (1/pi) int_{|z|<R} z^alpha zbar^beta a^m g dx dy by a 2-D
+    # midpoint rule whose grid is shifted off every symmetry axis, so that no
+    # cancellation of the off-diagonal sums is exact; a^m g = (1 - r^2)^(m - 2) at rho = -2
+    n = 1500
+    h = 2 * R / n
+    x = -R + (np.arange(n) + 0.3141) * h
+    y = -R + (np.arange(n) + 0.2718) * h
+    grid = np.zeros((deg, deg), dtype=complex)
+    for rows in np.array_split(np.arange(n), 15):
+        z = (x[None, :] + 1j * y[rows, None]).ravel()
+        z = z[np.abs(z) < R]
+        weight = (1.0 - np.abs(z) ** 2) ** (m - 2)
+        powers = np.vander(z, deg, increasing=True).T
+        grid += powers @ (powers.conj() * weight).T
+    grid *= h * h / math.pi
+    diag = grid.diagonal().real
+    off = max(
+        abs(grid[a, b]) / math.sqrt(diag[a] * diag[b])
+        for a in range(deg)
+        for b in range(deg)
+        if a != b
+    )
+    # the grid resolves the diagonal, so its small off-diagonal is not a vacuous 0
+    grid_diag = max(abs(diag[a] / lambda_inv_sq(geom, m, a, R).value - 1.0) for a in range(deg))
     # diagonal moments against an independent fine-grid trapezoid oracle
     r = np.linspace(0.0, R, 200_001)
     worst = 0.0
-    for alpha in range(7):
+    for alpha in range(deg):
         f = np.zeros_like(r)
         mask = r > 0
         rm = r[mask]
@@ -252,9 +272,15 @@ def test_criterion_9_moment_symmetry():
         )
         f[mask] = 2.0 * rm ** (2 * alpha + 1) * np.exp(logs)
         oracle = float(np.trapezoid(f, r))
-        val = monomial_moment(geom, m, alpha, alpha, R).real
+        val = lambda_inv_sq(geom, m, alpha, R).value
         worst = max(worst, abs(val - oracle) / oracle)
-    report(9, worst <= 1e-9, f"off-diagonals exact 0; diagonal vs trapezoid {worst:.3e} <= 1e-9")
+    ok = off <= 1e-6 and grid_diag <= 1e-6 and worst <= 1e-9
+    report(
+        9,
+        ok,
+        f"off-diagonal / diagonal scale {off:.1e} <= 1e-6 (2-D grid diagonal {grid_diag:.1e} "
+        f"<= 1e-6); diagonal vs trapezoid {worst:.3e} <= 1e-9",
+    )
 
 
 def test_criterion_10_peak_norm_bound():

@@ -11,7 +11,6 @@ from bergmanlab.quadrature import (
     lambda0_closed_form,
     lambda0_tail,
     lambda_inv_sq,
-    monomial_moment,
     truncation_radius,
 )
 
@@ -150,6 +149,19 @@ def test_tail_at_tiny_rho_matches_mpmath(rho):
             assert abs(lambda0_tail(geom, m) - exact) <= 1e-13 * exact + 2.0**-1074, m
 
 
+@pytest.mark.parametrize("rho", [1e306, 1e308, sys.float_info.max])
+def test_tail_at_huge_rho_matches_mpmath(rho):
+    # rho (log m)^2 / 2 passes the largest double before the division by m
+    # (from rho = 1.7e307 at m = 100 and 2.1e305 at m = 1e18); the exponent
+    # near -700 carries a few ulps of 1.1e-13 there
+    geom = ModelGeometry(rho)
+    with mpmath.workdps(50):
+        for m in (100, 10**18):
+            x = mpmath.mpf(rho) * mpmath.log(m) ** 2 / (2 * m)
+            exact = mpmath.exp(-(1 + 2 * mpmath.mpf(m) / rho) * mpmath.log1p(x))
+            assert abs(lambda0_tail(geom, m) - exact) <= 1e-12 * exact, m
+
+
 @pytest.mark.parametrize(
     "rho", [s * v for v in (1e-20, 1e-40, 1e-55, 1e-320, 5e-324) for s in (1.0, -1.0)]
 )
@@ -192,20 +204,12 @@ def test_flat_tail_identity():
     assert full - inner == pytest.approx(math.exp(-log_m**2) / m, rel=1e-9)
 
 
-def test_monomial_moment_offdiagonal_exact_zero():
-    for alpha in range(5):
-        for beta in range(5):
-            if alpha != beta:
-                val = monomial_moment(SPHERE, 20, alpha, beta, truncation_radius(20))
-                assert val == 0j
-
-
 def test_monomial_moment_diagonal():
+    # the z^3 zbar^3 moment; the off-diagonal ones are checked in acceptance criterion 9
     m = 50
     R = truncation_radius(m)
-    val = monomial_moment(HYPERBOLIC, m, 3, 3, R)
-    assert val.imag == 0.0
-    assert val.real == lambda_inv_sq(HYPERBOLIC, m, 3, R).value
+    got, rel, holds = check_against_mpmath(HYPERBOLIC, m, 3, R)
+    assert rel <= 1e-13 and holds, (got, rel)
 
 
 def test_monomial_moment_vs_trapezoid():
@@ -225,8 +229,8 @@ def test_monomial_moment_vs_trapezoid():
         )
         f[mask] = 2.0 * rm ** (2 * alpha + 1) * np.exp(logs)
         oracle = float(np.trapezoid(f, r))
-        val = monomial_moment(HYPERBOLIC, m, alpha, alpha, R)
-        assert val.real == pytest.approx(oracle, rel=1e-9)
+        val = lambda_inv_sq(HYPERBOLIC, m, alpha, R).value
+        assert val == pytest.approx(oracle, rel=1e-9)
 
 
 def test_peak_norm_bound_flat():
