@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import math
 import random
+import re
 import sys
 
 import numpy as np
@@ -275,6 +276,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_mom.add_argument("--radius", type=float)
     p_mom.set_defaults(func=cmd_moments)
 
+    # values such as -1e-05 and -inf, which argparse would take for options
+    for p in sub.choices.values():
+        p._negative_number_matcher = re.compile(r"-(\d|\.\d|inf|nan)", re.IGNORECASE)
     return parser
 
 

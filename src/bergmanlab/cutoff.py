@@ -101,8 +101,6 @@ def get_profile(name: str) -> _PiecewiseQuadratic | _Smoothstep:
 
 def psi(p_prime: int, t: float, profile=C1_PROFILE) -> float:
     """(1 + 2p') * eta(t) * log(t), with t = m|z|^2 / (log m)^2; ValueError at the pole t <= 0."""
-    if t >= 1.0:
-        return 0.0
     return (1 + 2 * p_prime) * profile.eta(t) * math.log(t)
 
 
@@ -133,7 +131,6 @@ def psi_hessian_bound_check(
     for t in t_values:
         r = log_m * math.sqrt(t / m)
         h = STEP_SCALE * r
-        geom.require_inside(r, margin=2.0 * h)
         for j in range(ANGULAR_POINTS):
             theta = TWO_PI * (j + 0.5) / ANGULAR_POINTS
             x, y = r * math.cos(theta), r * math.sin(theta)

@@ -58,6 +58,13 @@ class SweepResult:
     decay_violations: tuple[int, ...]
 
 
+# nextafter steps taking lo and hi past E = m + rho/2, one per rounding: float(m) above
+# 2^53, m + 0.5*rho, 1 - t, the division, half and the final +-.  With t < 0.03 they move
+# an end by at most 4.7 u E in all (u = 2^-53; half's budget term only widens), and each
+# step from a double beyond E moves it by over 0.99 u E.
+OUTWARD_STEPS = 6
+
+
 def density_estimate(geom: ModelGeometry, m: int, budget_c: float) -> DensityReport:
     """Density = I00 * lambda_0^2 with a propagated interval.
 
@@ -81,14 +88,17 @@ def density_estimate(geom: ModelGeometry, m: int, budget_c: float) -> DensityRep
     tail = reference * t / (1.0 - t)
     # (1 + budget) - 1 rounds as the Gram route's i00_hi - i00 does
     half = ((1.0 + budget_c * remainder_envelope(m)) - 1.0) * lam0_sq + tail
-    if not math.isfinite(lam0_sq + half):  # then lo and hi are doubles too
+    lo, hi = lam0_sq - half, lam0_sq + half
+    for _ in range(OUTWARD_STEPS):
+        lo, hi = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
+    if not math.isfinite(hi):  # lo >= -hi, so lo is a double too
         raise ValueError(f"--budget-c {budget_c!r} puts the interval at m={m} beyond the doubles")
     return DensityReport(
         m=m,
         rho=geom.rho,
         density=lam0_sq,
-        lo=lam0_sq - half,
-        hi=lam0_sq + half,
+        lo=lo,
+        hi=hi,
         reference=reference,
         remainder=tail,
         budget_c=budget_c,

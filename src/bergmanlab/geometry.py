@@ -35,19 +35,19 @@ class ModelGeometry:
 
     @property
     def max_radius(self) -> float:
-        return math.sqrt(-2.0 / self.rho) if self.rho < 0 else math.inf
+        if self.rho >= 0:
+            return math.inf
+        c = -2.0 / self.rho  # overflows below |rho| = 2/DBL_MAX, so is then formed at rho 2^64
+        return math.sqrt(c) if c < math.inf else math.sqrt(-2.0 / (self.rho * 2.0**64)) * 2.0**32
 
-    def require_inside(self, r: float, margin: float = 0.0) -> None:
-        if r < 0 or not r + margin < self.max_radius:
-            raise ValueError(
-                f"radius {r!r} (+{margin!r}) outside model disk of radius "
-                f"{self.max_radius!r}"
-            )
+    def require_inside(self, r: float) -> None:
+        if r < 0 or not r < self.max_radius:
+            raise ValueError(f"radius {r!r} outside model disk of radius {self.max_radius!r}")
 
 
-def _log_conformal_factor(geom: ModelGeometry, r: float) -> float:
-    """log(1 + rho r^2 / 2); below 1/2 the sum cancels in floats, so it is formed exactly."""
-    w = 0.5 * geom.rho * r * r
+def _log_conformal_factor(geom: ModelGeometry, r: float, w: float | None = None) -> float:
+    """log(1 + w), w = rho r^2 / 2 unless given; below 1/2, 1 + w is formed exactly."""
+    w = 0.5 * geom.rho * r * r if w is None else w
     if w >= -0.5:
         return math.log1p(w)
     return math.log(1 + Fraction(geom.rho) * Fraction(r) ** 2 / 2)
@@ -66,7 +66,15 @@ def log_bundle_weight(geom: ModelGeometry, r: float) -> float:
     geom.require_inside(r)
     if geom.rho == 0.0:
         return -r * r
-    return (-2.0 / geom.rho) * _log_conformal_factor(geom, r)
+    c = -2.0 / geom.rho
+    if math.isfinite(c):
+        return c * _log_conformal_factor(geom, r)
+    # |rho| < 2/DBL_MAX: w is formed without halving a subnormal rho, and log a =
+    # -r^2 log1p(w)/w is -r^2 to within |w|/2 < u/2, or -2/rho is formed at rho 2^64
+    w = geom.rho * r * r * 0.5
+    if abs(w) < 2.0**-53:
+        return -r * r
+    return -2.0 / (geom.rho * 2.0**64) * _log_conformal_factor(geom, r, w) * 2.0**64
 
 
 def metric_density(geom: ModelGeometry, z: complex) -> float:
@@ -83,7 +91,6 @@ def curvature_residual(geom: ModelGeometry, z: complex, h: float) -> float:
     """Finite-difference residual of g^-1 d^2(log g)/dz dzbar + rho, O(h^2) for the model."""
     if h <= 0:
         raise ValueError("step must be positive")
-    geom.require_inside(abs(z), margin=h * math.sqrt(2.0))
     ddbar = mixed_derivative(
         lambda x, y: log_metric_density(geom, math.hypot(x, y)), z.real, z.imag, h
     )
@@ -96,7 +103,6 @@ def polar_ode_residual(geom: ModelGeometry, r: float, h: float) -> float:
         raise ValueError("step must be positive")
     if r - h <= 0:
         raise ValueError("stencil crosses r = 0")
-    geom.require_inside(r, margin=h)
     gm, g0, gp = (metric_density(geom, r + d) for d in (-h, 0.0, h))
     d1 = (gp - gm) / (2.0 * h)
     d2 = (gp - 2.0 * g0 + gm) / (h * h)

@@ -9,12 +9,9 @@ as a per-entry error budget on the two bordered rows and columns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-
-from .geometry import ModelGeometry
-from .quadrature import truncation_radius
 
 __all__ = [
     "BorderedGram",
@@ -27,62 +24,33 @@ __all__ = [
 
 @dataclass
 class BorderedGram:
-    """Hermitian Gram matrix with per-entry absolute error budgets."""
+    """Hermitian Gram matrix with per-entry absolute error budgets (zeros by default)."""
 
     entries: np.ndarray
-    budgets: np.ndarray = field(default=None)  # type: ignore[assignment]
+    budgets: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         self.entries = np.asarray(self.entries, dtype=complex)
-        if self.entries.ndim != 2 or self.entries.shape[0] != self.entries.shape[1]:
-            raise ValueError("entries must be a square matrix")
-        if self.dim < 2:
-            raise ValueError("bordered Gram matrix needs dimension >= 2")
-        if not np.array_equal(self.entries, self.entries.conj().T):
-            raise ValueError("entries must be exactly Hermitian")
         if self.budgets is None:
             self.budgets = np.zeros(self.entries.shape)
-        self.budgets = np.asarray(self.budgets, dtype=float)
-        if self.budgets.shape != self.entries.shape:
-            raise ValueError("budgets must match entries in shape")
-        if (self.budgets < 0).any():
-            raise ValueError("budgets must be nonnegative")
 
     @property
     def dim(self) -> int:
         return self.entries.shape[0]
 
 
-def assemble_truncated_gram(
-    geom: ModelGeometry,
-    m: int,
-    extra_degrees: list[int],
-    scale: float,
-) -> BorderedGram:
-    """Gram matrix of the normalized truncated monomial sections.
+def assemble_truncated_gram(dim: int, scale: float) -> BorderedGram:
+    """Gram matrix of dim normalized truncated monomial sections.
 
-    Basis: degree 0, degree 1, then one section per entry of extra_degrees
-    (each >= 2, realizing the vanishing-to-first-order subspace).  A radial
-    weight makes distinct monomial degrees exactly orthogonal and the
-    normalization makes the diagonal exactly 1, so the matrix is the
-    identity; the budgets, scale on the two bordered rows and columns, carry
-    the peak-section correction pattern.
+    Basis: degrees 0 and 1, then dim - 2 distinct degrees >= 2.  A radial
+    weight makes distinct degrees exactly orthogonal and the normalization
+    makes the diagonal 1, so the matrix is the identity; the budgets, scale on
+    the two bordered rows and columns, carry the peak-section correction.
     """
-    if m < 2:
-        raise ValueError("m must be >= 2")
-    degrees = list(extra_degrees)
-    if len(set(degrees)) != len(degrees):
-        raise ValueError("extra degrees must be distinct")
-    if any(d < 2 for d in degrees):
-        raise ValueError("extra degrees must be >= 2")
-    geom.require_inside(truncation_radius(m))
-
-    k = 2 + len(degrees)
-    entries = np.eye(k, dtype=complex)
-    budgets = np.zeros((k, k))
+    budgets = np.zeros((dim, dim))
     budgets[:2, :] = scale
     budgets[:, :2] = scale
-    return BorderedGram(entries=entries, budgets=budgets)
+    return BorderedGram(entries=np.eye(dim, dtype=complex), budgets=budgets)
 
 
 def schur_i00(G: BorderedGram) -> tuple[float, tuple[float, float]]:

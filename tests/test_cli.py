@@ -4,7 +4,7 @@ import json
 import math
 import re
 import sys
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import mpmath
@@ -153,6 +153,51 @@ def test_sweep_rejects_non_finite_budget(c, capsys):
     code, _, err = run(["sweep", "--rho", "0", "--m-list", "100", "--budget-c", c], capsys)
     assert code == 2
     assert err.startswith("error:") and "finite" in err
+
+
+@pytest.mark.parametrize("rho", ["nan", "inf", "-inf", "-Infinity"])
+def test_sweep_rejects_non_finite_curvature(rho, capsys):
+    code, out, err = run(["sweep", "--rho", rho, "--m-list", "100"], capsys)
+    assert (code, out, err) == (2, "", "error: curvature must be finite\n")
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (["sweep", "--rho", "0", "--m-list", "100", "--budget-c", "-1e-3"],
+         "error: budget constant must be finite and nonnegative, got -0.001\n"),
+        (["moments", "--rho", "0", "--m", "100", "--radius", "-1e-3"],
+         "error: radius -0.001 outside (0, inf)\n"),
+    ],
+    ids=["budget-c", "radius"],
+)
+def test_negative_exponent_values_reach_their_checks(argv, err, capsys):
+    assert run(argv, capsys) == (2, "", err)
+
+
+def test_negative_exponent_values_are_read(capsys):
+    code, out, _ = run(["moments", "--rho", "-1e-320", "--m", "100", "--max-degree", "0"], capsys)
+    assert code == 0 and out.startswith("p,value,abs_err\n0,")
+    assert run(["sweep", "--rho", "-1e-05", "--m-list", "100"], capsys)[1] == run(
+        ["sweep", "--rho=-1e-05", "--m-list", "100"], capsys
+    )[1]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.floats(allow_nan=False, allow_infinity=False))
+@example(-1.2e-05)
+@example(-5e-324)
+def test_sweep_reads_every_finite_rho_as_written_by_repr(rho):
+    # the value is read, never taken for an option: a run or a one-line error
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(["sweep", "--rho", repr(rho), "--m-list", "100"])
+        except SystemExit as exc:
+            code = exc.code
+    err = err.getvalue()
+    assert "usage:" not in err
+    assert code in (0, 1) or (code == 2 and err.startswith("error: ") and err.count("\n") == 1)
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

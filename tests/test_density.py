@@ -1,19 +1,23 @@
+import json
 import math
 import random
+import sys
 import time
 import tracemalloc
 from dataclasses import fields
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bergmanlab import density
 from bergmanlab.density import (
     CSV_HEADER,
+    OUTWARD_STEPS,
     DensityReport,
     cp1_density,
     density_estimate,
@@ -25,7 +29,10 @@ from bergmanlab.density import (
 )
 from bergmanlab.geometry import ModelGeometry
 from bergmanlab.gram import assemble_truncated_gram, schur_i00
-from bergmanlab.quadrature import lambda0_tail
+from bergmanlab.quadrature import lambda0_tail, truncation_radius
+
+DATA = Path(__file__).parent / "data"
+MAX_M = int(sys.float_info.max)
 
 
 def test_expansion_reference_exact():
@@ -271,22 +278,32 @@ def test_truncated_model_matches_cp1_at_center():
     assert abs(rep.density - exact) <= half * (1.0 + 1e-9) + 1e-12
 
 
-def gram_route_estimate(geom, m, budget_c, extra_degrees):
-    """The density row rebuilt through the Gram matrix and its Schur corner."""
+def widened(lo, hi, steps=OUTWARD_STEPS):
+    for _ in range(steps):
+        lo, hi = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
+    return lo, hi
+
+
+def gram_route_estimate(geom, m, budget_c, extra_degrees, steps=OUTWARD_STEPS):
+    """The density row rebuilt through the Gram matrix and its Schur corner.
+
+    The interval ends are rounded to nearest and then moved steps outward.
+    """
     reference = expansion_reference(m, geom.rho)
     t = lambda0_tail(geom, m)
     lam0_sq = reference / (1.0 - t)
-    gram = assemble_truncated_gram(geom, m, extra_degrees, budget_c * remainder_envelope(m))
+    gram = assemble_truncated_gram(2 + len(extra_degrees), budget_c * remainder_envelope(m))
     i00, (_, i00_hi) = schur_i00(gram)
     density = i00 * lam0_sq
     tail = reference * t / (1.0 - t)
     half = (i00_hi - i00) * lam0_sq + tail
+    lo, hi = widened(density - half, density + half, steps)
     return DensityReport(
         m=m,
         rho=geom.rho,
         density=density,
-        lo=density - half,
-        hi=density + half,
+        lo=lo,
+        hi=hi,
         reference=reference,
         remainder=(i00 - 1.0) * lam0_sq + tail,
         budget_c=budget_c,
@@ -307,6 +324,54 @@ def test_closed_form_matches_gram_route(rho):
                     assert repr(getattr(got, f.name)) == repr(getattr(want, f.name)), (
                         m, c, extra, f.name,
                     )
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.one_of(st.integers(10, 10**20), st.integers(10, MAX_M)),
+    st.one_of(st.floats(-2.0, 2.0), st.floats(allow_nan=False, allow_infinity=False)),
+    st.sampled_from([0.0, 1.0]),
+)
+@example(10**7, -0.7, 0.0)  # lo rounded to nearest lies above m + rho/2
+@example(123456789, 1.1, 0.0)  # hi rounded to nearest lies below it
+@example(2**53 + 1, 0.3, 0.0)  # float(m) rounds
+@example(MAX_M, 0.0, 0.0)
+@example(MAX_M, -1.0, 0.0)
+def test_interval_contains_m_plus_half_rho(m, rho, budget_c):
+    # over every (m, rho) the sweep accepts, checked in exact rational arithmetic
+    geom = ModelGeometry(rho)
+    assume(truncation_radius(m) < geom.max_radius)
+    exact = m + Fraction(rho) / 2
+    try:
+        rep = density_estimate(geom, m, budget_c)
+    except ValueError as exc:
+        # refused only where hi, widened outward, passes the largest double
+        assert "beyond the doubles" in str(exc)
+        assert exact > Fraction(sys.float_info.max) * (1 - Fraction(1, 2**40))
+        return
+    assert Fraction(rep.lo) <= exact <= Fraction(rep.hi)
+
+
+def golden_rows(name):
+    """(m, rho, budget_c, lo, hi) of each row of a golden sweep in tests/data."""
+    text = (DATA / name).read_text()
+    if name.endswith(".json"):
+        return [(r["m"], r["rho"], r["budget_c"], r["lo"], r["hi"]) for r in json.loads(text)["reports"]]
+    budget_c = 0.0 if name.startswith("criterion11") else 1.0  # the --budget-c they were made with
+    rows = [line.split(",") for line in text.splitlines()[1:]]
+    return [(int(r[0]), float(r[1]), budget_c, float(r[3]), float(r[4])) for r in rows]
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["criterion11_rho-2.csv", "sweep_c1_rho-0.7.csv", "sweep_c1_rho2.csv", "sweep_c1_rho-0.7.json"],
+)
+def test_golden_intervals_are_nearest_ends_moved_outward(name):
+    # the golden lo/hi are the ends rounded to nearest, moved OUTWARD_STEPS outward
+    for m, rho, budget_c, lo, hi in golden_rows(name):
+        nearest = gram_route_estimate(ModelGeometry(rho), m, budget_c, [], steps=0)
+        assert lo <= nearest.lo and hi >= nearest.hi
+        assert (lo, hi) == widened(nearest.lo, nearest.hi)
 
 
 def test_remainder_sweep_flat():

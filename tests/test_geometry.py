@@ -61,6 +61,22 @@ def test_log_weights_accurate_near_disk_edge(rho):
         assert abs(log_bundle_weight(ModelGeometry(rho), r) - want_a) <= 4e-16 * abs(want_a)
 
 
+@pytest.mark.parametrize("rho", [1e-308, -1e-308, 1e-320, -1e-320, 5e-324, -5e-324])
+@pytest.mark.parametrize("r", [0.3, 10.0, 1e150])
+def test_log_bundle_weight_where_two_over_rho_overflows(rho, r):
+    # below |rho| = 2/DBL_MAX; mpmath's log1p keeps the digits that 1 + rho r^2 / 2 drops
+    with mpmath.workdps(40):
+        want = -2 / mpmath.mpf(rho) * mpmath.log1p(mpmath.mpf(rho) * mpmath.mpf(r) ** 2 / 2)
+    assert abs(log_bundle_weight(ModelGeometry(rho), r) - want) <= 1e-15 * abs(want)
+
+
+@pytest.mark.parametrize("rho", [-1e-308, -1e-320, -5e-324])
+def test_max_radius_where_two_over_rho_overflows(rho):
+    with mpmath.workdps(40):
+        want = mpmath.sqrt(2 / abs(mpmath.mpf(rho)))
+    assert abs(ModelGeometry(rho).max_radius - want) <= 1e-15 * want
+
+
 def test_bundle_weight_continuous_in_rho():
     for r in (0.2, 0.7, 1.3):
         near_flat = math.exp(log_bundle_weight(ModelGeometry(1e-9), r))

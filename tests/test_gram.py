@@ -37,18 +37,9 @@ def test_error_budget_rejects_non_finite(c):
         density_estimate(ModelGeometry(0.0), 100, c)
 
 
-def test_bordered_gram_validation():
-    with pytest.raises(ValueError):
-        BorderedGram(entries=np.array([[1.0]]))
-    with pytest.raises(ValueError):
-        BorderedGram(entries=np.array([[1.0, 0.5j], [0.5j, 1.0]]))  # not Hermitian
-    with pytest.raises(ValueError):
-        BorderedGram(entries=np.eye(2), budgets=-np.ones((2, 2)))
-
-
 def test_assemble_minimal():
     scale = remainder_envelope(50)
-    G = assemble_truncated_gram(ModelGeometry(0.0), 50, [], scale)
+    G = assemble_truncated_gram(2, scale)
     assert G.dim == 2
     assert np.array_equal(G.entries, np.eye(2))
     assert np.allclose(G.budgets, scale)
@@ -56,22 +47,12 @@ def test_assemble_minimal():
 
 def test_assemble_block_pattern():
     scale = remainder_envelope(50)
-    G = assemble_truncated_gram(ModelGeometry(0.0), 50, [2, 3], scale)
+    G = assemble_truncated_gram(4, scale)
     assert G.dim == 4
     assert np.array_equal(G.entries, np.eye(4))
     assert np.all(G.budgets[:2, :] == scale)
     assert np.all(G.budgets[:, :2] == scale)
     assert np.all(G.budgets[2:, 2:] == 0.0)
-
-
-def test_assemble_validation():
-    geom = ModelGeometry(0.0)
-    with pytest.raises(ValueError):
-        assemble_truncated_gram(geom, 50, [2, 2], 1.0)
-    with pytest.raises(ValueError):
-        assemble_truncated_gram(geom, 50, [1], 1.0)
-    with pytest.raises(Exception):
-        assemble_truncated_gram(ModelGeometry(-8.0), 10, [], 1.0)
 
 
 def test_schur_identity():
@@ -148,7 +129,7 @@ def test_budget_monotonicity():
 
 
 def test_zero_budget_truncated_gram_is_exactly_one():
-    G = assemble_truncated_gram(ModelGeometry(-2.0), 100, [2, 3, 4], 0.0)
+    G = assemble_truncated_gram(5, 0.0)
     value, (lo, hi) = schur_i00(G)
     assert value == 1.0
     assert (lo, hi) == (1.0, 1.0)

@@ -1,8 +1,12 @@
 import importlib
+import importlib.util
+import io
 import os
 import pkgutil
 import subprocess
 import sys
+from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -33,3 +37,25 @@ def test_light_modules_import_without_numpy():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
     )
     assert out.stdout == "False\n"
+
+
+def test_benchmark_tracer_hooks_fit_the_package():
+    # bench/spans.py wraps these modules' functions by name when the benchmark
+    # runs with --trace 1, and reads BorderedGram.dim from schur_i00's argument
+    path = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    from bergmanlab import cli, cutoff, density, geometry, gram, quadrature
+
+    tracer = spans.Tracer()
+    tracer.install(cli, cutoff, density, geometry, gram, quadrature)
+    try:
+        with redirect_stdout(io.StringIO()):
+            assert cli.main(["verify", "--seed", "0"]) == 0
+            assert cli.main(["sweep", "--rho", "-0.7", "--m-list", "100,1000"]) == 0
+    finally:
+        tracer.restore()
+    assert tracer.calls["gram.schur"] == 200
+    assert tracer.calls["density.estimate"] == 2
+    assert 2 <= tracer.dim_max <= 12
