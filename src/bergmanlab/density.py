@@ -5,12 +5,13 @@ from __future__ import annotations
 import json
 import math
 import operator
+import sys
 from dataclasses import asdict, dataclass
 
 from .geometry import ModelGeometry
 # The benchmark tracer (bench/spans.py) wraps these two names on this module.
 from .gram import assemble_truncated_gram, schur_i00  # noqa: F401
-from .quadrature import lambda0_tail
+from .quadrature import lambda0_log_tail, lambda0_tail
 
 __all__ = [
     "DensityReport",
@@ -64,6 +65,8 @@ class SweepResult:
 # step from a double beyond E moves it by over 0.99 u E.
 OUTWARD_STEPS = 6
 
+DBL_MIN = sys.float_info.min
+
 
 def density_estimate(geom: ModelGeometry, m: int, budget_c: float) -> DensityReport:
     """Density = I00 * lambda_0^2 with a propagated interval.
@@ -76,7 +79,8 @@ def density_estimate(geom: ModelGeometry, m: int, budget_c: float) -> DensityRep
     lambda_0^2 and m + rho/2, the tail of the truncated normalization
     integral, which is also the remainder.  It is taken from the tail term
     directly: the tail sits far below machine epsilon for large m, so
-    density - reference would be rounding noise there.
+    density - reference would be rounding noise there.  Where t is below the
+    normal range, the tail is one exp of log(m + rho/2) + log t, rounded once.
     """
     if not (math.isfinite(budget_c) and budget_c >= 0):
         raise ValueError(f"budget constant must be finite and nonnegative, got {budget_c!r}")
@@ -85,7 +89,10 @@ def density_estimate(geom: ModelGeometry, m: int, budget_c: float) -> DensityRep
     reference = expansion_reference(m, geom.rho)
     t = lambda0_tail(geom, m)
     lam0_sq = reference / (1.0 - t)
-    tail = reference * t / (1.0 - t)
+    if t >= DBL_MIN:
+        tail = reference * t / (1.0 - t)
+    else:  # t has lost bits below the normal range; 1 - t is 1 there
+        tail = math.exp(math.log(reference) + lambda0_log_tail(geom, m))
     # (1 + budget) - 1 rounds as the Gram route's i00_hi - i00 does
     half = ((1.0 + budget_c * remainder_envelope(m)) - 1.0) * lam0_sq + tail
     lo, hi = lam0_sq - half, lam0_sq + half

@@ -1,10 +1,10 @@
 """Bordered Gram matrices and three routes to the (0,0) entry of the inverse.
 
-This is the oracle behind density_estimate's closed form and verify's
-schur_vs_inverse suite.  The truncated model sections (normalized monomials
-over the truncation disk) are exactly orthonormal, so their Gram matrix is
-the identity; the effect of the uncomputable global corrections is carried
-as a per-entry error budget on the two bordered rows and columns.
+The oracle of density_estimate's closed form; max_route_deviation is the
+check shared by verify's schur_vs_inverse suite and acceptance criterion 5.
+The truncated model sections (normalized monomials over the truncation disk)
+are exactly orthonormal, so their Gram matrix is the identity; the global
+corrections are carried as error budgets on the two bordered rows and columns.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ __all__ = [
     "schur_i00",
     "inverse00_oracle",
     "orthonormalize_i00",
+    "max_route_deviation",
 ]
 
 
@@ -91,3 +92,20 @@ def orthonormalize_i00(G: BorderedGram) -> float:
     e0[0] = 1.0
     y = np.linalg.solve(L, e0)
     return float(np.sum(np.abs(y) ** 2))
+
+
+def max_route_deviation(seed: int, count: int) -> float:
+    """Largest relative spread of the three routes to I00 over count random matrices.
+
+    Each is b b* + (k/2) I, symmetrized, b a complex Gaussian k x k, k in 2..12, from
+    default_rng(seed); (max - min) / max|v| is the largest pairwise spread, bit for bit.
+    """
+    rng, worst = np.random.default_rng(seed), 0.0
+    for _ in range(count):
+        k = int(rng.integers(2, 13))
+        b = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
+        F = b @ b.conj().T + 0.5 * k * np.eye(k)
+        G = BorderedGram(entries=0.5 * (F + F.conj().T))
+        v = (schur_i00(G)[0], inverse00_oracle(G), orthonormalize_i00(G))
+        worst = max(worst, (max(v) - min(v)) / max(map(abs, v)))
+    return worst

@@ -20,6 +20,9 @@ rho < 0 and y = u/(1+u), u = rho R^2 / 2, b = 2m/rho + 1 - p for rho > 0
   [1-y, h] (a log term at b + k = 0), whose alternating sum loses at most
   ((1+h)/(1-h))^p <= e^32 of the 50 digits.
 
+Where 2m/|rho| is beyond the doubles and a^m g is e^(-m r^2) to within u on
+[0, R], the rho = 0 moment is taken, its bound widened (_near_flat).
+
 abs_err is a proven bound: Higham's gamma_n = n u / (1 - n u), u = 2^-53,
 over the float roundings done (exp, log, log1p, expm1 within one ulp), or
 10^-49 per decimal rounding against the magnitudes summed plus the series
@@ -42,6 +45,7 @@ __all__ = [
     "RadialMoment",
     "lambda_inv_sq",
     "lambda0_closed_form",
+    "lambda0_log_tail",
     "lambda0_tail",
     "truncation_radius",
 ]
@@ -215,13 +219,39 @@ def _series(rho: float, m: int, p: int, radius: float) -> tuple[float, float]:
     return value, (U * value + float(err)) * (1.0 + _gamma(4)) + TINY
 
 
+def _near_flat(geom: ModelGeometry, m: int, p: int, radius: float) -> tuple[float, float] | None:
+    """The rho = 0 moment and its widened bound, or None unless 2m/|rho| overflows and d <= u.
+
+    With w = rho r^2 / 2, log(a^m g) + m r^2 = -(2m/rho)(log(1+w) - w) - 2 log(1+w),
+    and for |w| < 1, |log(1+w) - w| <= w^2 / (2 (1 - |w|)) and |log(1+w)| <= |w| / (1 - |w|).
+    Both grow with r, so on [0, R] the sum is at most d = |rho| (m R^4/4 + R^2) / (1 - |w(R)|),
+    taken here in exact rationals.  The integrand is then the rho = 0 one times e^delta,
+    |delta| <= d, so the moment is within I_0 expm1(d) <= (value + abs_err) d (1 + u) of the
+    rho = 0 moment I_0, which is within abs_err of value.
+    """
+    rho = abs(geom.rho)
+    if not 0.0 < rho * (0.5 * sys.float_info.max) < m:  # 2m/|rho| is beyond the doubles
+        return None
+    r2 = Fraction(radius) ** 2
+    w = Fraction(rho) * r2 / 2
+    if w >= 1:
+        return None
+    d = Fraction(rho) * (m * r2 * r2 / 4 + r2) / (1 - w)
+    if d > U:
+        return None
+    value, err = _complement(ModelGeometry(0.0), m, p, radius) or _series(0.0, m, p, radius)
+    # expm1(d) <= d (1 + u), float(d) >= d / (1 + u) and four roundings: gamma(8) covers them
+    return value, (err + (value + err) * float(d)) * (1.0 + _gamma(8)) + TINY
+
+
 def lambda_inv_sq(geom: ModelGeometry, m: int, p: int, radius: float) -> RadialMoment:
     """2 * integral_0^R r^(2p+1) a(r)^m g(r) dr in closed form.
 
     The complement route where b > 0 is in the double range and Q <= 1/2,
-    the lower series elsewhere (see the module docstring); abs_err is a
-    proven bound on |value - exact|.  A moment beyond the largest double
-    raises ValueError.
+    the rho = 0 moment where 2m/|rho| overflows and the weight is that of
+    rho = 0 to within u, the lower series elsewhere (see the module
+    docstring); abs_err is a proven bound on |value - exact|.  A moment
+    beyond the largest double raises ValueError.
     """
     if m < 2:
         raise ValueError("m must be >= 2")
@@ -232,7 +262,11 @@ def lambda_inv_sq(geom: ModelGeometry, m: int, p: int, radius: float) -> RadialM
     if not math.isfinite(m * max(abs(geom.rho), 1.0) * radius * radius):  # x and u are doubles
         raise ValueError(f"radius {radius!r} too large for m={m} at rho={geom.rho!r}")
     try:
-        result = _complement(geom, m, p, radius) or _series(geom.rho, m, p, radius)
+        result = (
+            _complement(geom, m, p, radius)
+            or _near_flat(geom, m, p, radius)
+            or _series(geom.rho, m, p, radius)
+        )
     except OverflowError:
         raise ValueError(
             f"moment at m={m}, p={p}, radius={radius!r} exceeds the double range"
@@ -240,14 +274,11 @@ def lambda_inv_sq(geom: ModelGeometry, m: int, p: int, radius: float) -> RadialM
     return RadialMoment(*result)
 
 
-def lambda0_tail(geom: ModelGeometry, m: int) -> float:
-    """The exact relative gap 1 - (closed-form moment) * (m + rho/2).
+def lambda0_log_tail(geom: ModelGeometry, m: int) -> float:
+    """log of lambda0_tail: (-1 - 2m/rho) log1p(x), x = rho (log m)^2 / 2m, or -(log m)^2.
 
-    This is (1 + rho (log m)^2 / 2m)^(-1 - 2m/rho) for rho != 0 and
-    e^(-(log m)^2) for rho = 0.  It is far below machine epsilon for large m,
-    so it is exposed directly instead of being recovered by subtraction.
-    Where x = rho (log m)^2 / 2m is below the normal range or 2m/rho
-    overflows, the power is e^(-(log m)^2) to within a relative O(x).
+    Where x is below the normal range or 2m/rho overflows, it is -(log m)^2,
+    to within a relative O(x).
     """
     if m < 2:
         raise ValueError("m must be >= 2")
@@ -262,10 +293,21 @@ def lambda0_tail(geom: ModelGeometry, m: int) -> float:
     if math.isinf(x):  # rho (log m)^2 / 2 passed the largest double before the division
         x = 0.5 * rho / m * log_m * log_m
     if abs(x) < sys.float_info.min or not math.isfinite(2.0 * m / rho):  # rho = 0 stops at x
-        return math.exp(-log_m * log_m)
+        return -log_m * log_m
     if not x > -1.0:  # log1p's domain; the disk check above leaves only rounding here
         raise ValueError(f"m={m} too small for the closed form at rho={rho}")
-    return math.exp((-1.0 - 2.0 * m / rho) * math.log1p(x))
+    return (-1.0 - 2.0 * m / rho) * math.log1p(x)
+
+
+def lambda0_tail(geom: ModelGeometry, m: int) -> float:
+    """The exact relative gap 1 - (closed-form moment) * (m + rho/2).
+
+    This is (1 + rho (log m)^2 / 2m)^(-1 - 2m/rho) for rho != 0 and
+    e^(-(log m)^2) for rho = 0, the exp of lambda0_log_tail.  It is far below
+    machine epsilon for large m, so it is exposed directly instead of being
+    recovered by subtraction.
+    """
+    return math.exp(lambda0_log_tail(geom, m))
 
 
 def lambda0_closed_form(geom: ModelGeometry, m: int) -> float:

@@ -4,6 +4,7 @@ import json
 import math
 import re
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -221,6 +222,14 @@ def test_out_into_missing_directory(argv, tmp_path, capsys):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+def test_sweep_single_point_is_lo(capsys):
+    code, stdout, _ = run(["sweep", "--rho", "0", "--m-range", "37:1000", "--points", "1"], capsys)
+    assert code == 0
+    lines = stdout.split("\n")
+    assert lines[0] == "m,rho,density,lo,hi,reference,remainder"
+    assert lines[1].startswith("37,0.0,") and lines[2].startswith("fitted_C = ")
+
+
 def test_sweep_rejects_duplicate_m(capsys):
     code, _, err = run(["sweep", "--rho", "0", "--m-list", "100,100,1000"], capsys)
     assert code == 2
@@ -259,9 +268,16 @@ HUGE_M = f"m={HUGE} exceeds the largest double 1.7976931348623157e+308"
         (["sweep", "--rho", "0", "--m-range", "10:" + HUGE], HUGE_M),
         (["moments", "--rho", "0", "--m", HUGE], HUGE_M),
         (["cp1", "--m", HUGE], HUGE_M),
-        # 10^log10(HI) rounds past the largest double for the top 528 HI below it
+        # 10^log10(HI) rounds past the largest double for HI at any of the top 528 doubles
         (["sweep", "--rho", "0", "--m-range", f"10:{int(sys.float_info.max)}"],
          "m=inf exceeds the largest double 1.7976931348623157e+308"),
+        (["sweep", "--rho", "0", "--m-list", "5"], "m must be >= 10"),
+        (["moments", "--rho", "0", "--m", "100", "--radius", "1e200"],
+         "radius 1e+200 too large for m=100 at rho=0.0"),
+        (["sweep", "--rho", "0", "--m-range", "10:1000", "--points", "0"],
+         "--points must be >= 1"),
+        (["sweep", "--rho", "0", "--m-range", "10:1000", "--points", "-1"],
+         "--points must be >= 1"),
     ],
     ids=[
         "points-without-m-range",
@@ -278,6 +294,10 @@ HUGE_M = f"m={HUGE} exceeds the largest double 1.7976931348623157e+308"
         "huge-moments-m",
         "huge-cp1-m",
         "m-range-end-rounds-past-double",
+        "sweep-m-below-10",
+        "moments-radius-too-large",
+        "points-0",
+        "points-negative",
     ],
 )
 def test_bad_value_exits_2_before_output(argv, message, capsys):
@@ -306,6 +326,20 @@ def test_moments_table_entry_matches_mpmath(rho, m, p, radius, capsys):
     err = abs(mpmath.mpf(last[1]) - exact)
     assert err <= 1e-13 * exact
     assert err <= mpmath.mpf(last[2])
+
+
+def test_moment_where_two_m_over_rho_overflows_is_fast(capsys):
+    # 2m/|rho| passes the largest double and the weight is that of rho = 0 to
+    # within u: the rho = 0 moment, widened, in place of about 9e6 series terms
+    argv = ["moments", "--rho", "1e-320", "--m", "100000000", "--max-degree", "0",
+            "--radius", "0.3"]
+    start = time.perf_counter()
+    code, stdout, _ = run(argv, capsys)
+    assert time.perf_counter() - start < 2.0
+    assert code == 0
+    p, value, abs_err = stdout.strip().split("\n")[-1].split(",")
+    assert p == "0"
+    assert abs(mpmath.mpf(value) - exact_moment(1e-320, 10**8, 0, 0.3)) <= mpmath.mpf(abs_err)
 
 
 def test_moment_beyond_double_range_exits_2_before_output(capsys):

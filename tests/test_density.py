@@ -29,7 +29,7 @@ from bergmanlab.density import (
 )
 from bergmanlab.geometry import ModelGeometry
 from bergmanlab.gram import assemble_truncated_gram, schur_i00
-from bergmanlab.quadrature import lambda0_tail, truncation_radius
+from bergmanlab.quadrature import lambda0_log_tail, lambda0_tail, truncation_radius
 
 DATA = Path(__file__).parent / "data"
 MAX_M = int(sys.float_info.max)
@@ -295,7 +295,10 @@ def gram_route_estimate(geom, m, budget_c, extra_degrees, steps=OUTWARD_STEPS):
     gram = assemble_truncated_gram(2 + len(extra_degrees), budget_c * remainder_envelope(m))
     i00, (_, i00_hi) = schur_i00(gram)
     density = i00 * lam0_sq
-    tail = reference * t / (1.0 - t)
+    if t >= sys.float_info.min:
+        tail = reference * t / (1.0 - t)
+    else:  # below the normal range, one rounding of exp(log(m + rho/2) + log t)
+        tail = math.exp(math.log(reference) + lambda0_log_tail(geom, m))
     half = (i00_hi - i00) * lam0_sq + tail
     lo, hi = widened(density - half, density + half, steps)
     return DensityReport(
@@ -417,3 +420,23 @@ def test_json_format():
     assert set(payload["reports"][0]) == {
         "m", "rho", "density", "lo", "hi", "reference", "remainder", "budget_c",
     }
+
+
+@pytest.mark.parametrize("rho", [-2.0, -0.7, 0.0, 2.0])
+def test_remainder_below_normal_range_matches_mpmath(rho):
+    # the tail t falls below DBL_MIN near m = 3.6e11, where (m + rho/2) t would
+    # carry the bits t lost; the floor is DBL_MIN, so a subnormal remainder is held
+    # to 1e-12 DBL_MIN (its last place is 4.9e-324)
+    geom = ModelGeometry(rho)
+    with mpmath.workdps(50):
+        for i in range(40):
+            m = round(10 ** (11 + i * math.log10(20) / 39))
+            log_m = mpmath.log(m)
+            if rho == 0.0:
+                t = mpmath.exp(-log_m**2)
+            else:
+                x = mpmath.mpf(rho) * log_m**2 / (2 * m)
+                t = mpmath.exp(-(1 + 2 * mpmath.mpf(m) / rho) * mpmath.log1p(x))
+            exact = (m + mpmath.mpf(rho) / 2) * t / (1 - t)
+            got = density_estimate(geom, m, 0.0).remainder
+            assert abs(got - exact) <= 1e-12 * max(exact, sys.float_info.min), (m, got, exact)

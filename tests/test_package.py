@@ -1,3 +1,4 @@
+import ast
 import importlib
 import importlib.util
 import io
@@ -37,6 +38,22 @@ def test_light_modules_import_without_numpy():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
     )
     assert out.stdout == "False\n"
+
+
+def test_only_gram_imports_numpy():
+    # numpy serves gram's LAPACK routes alone; every other module is pure Python
+    importers = set()
+    for path in Path(bergmanlab.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            if any(name.split(".")[0] == "numpy" for name in names):
+                importers.add(path.name)
+    assert importers == {"gram.py"}
 
 
 def test_benchmark_tracer_hooks_fit_the_package():
