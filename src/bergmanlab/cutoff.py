@@ -15,22 +15,17 @@ from __future__ import annotations
 
 import math
 
-from .geometry import ModelGeometry, metric_density, mixed_derivative
+from .geometry import ModelGeometry, metric_density
 
 __all__ = [
     "C1_PROFILE",
     "SMOOTH_PROFILE",
     "get_profile",
-    "psi",
     "psi_hessian_bound_check",
 ]
 
 TWO_PI = 2.0 * math.pi
-# psi_hessian_bound_check grid: transition-annulus radii, angles per circle,
-# and the finite-difference step relative to the radius.
-RADIAL_POINTS = 24
-ANGULAR_POINTS = 6
-STEP_SCALE = 1e-3
+RADIAL_POINTS = 24  # psi_hessian_bound_check's grid points on the transition annulus
 
 
 class _PiecewiseQuadratic:
@@ -99,41 +94,27 @@ def get_profile(name: str) -> _PiecewiseQuadratic | _Smoothstep:
         raise ValueError(f"unknown cut-off profile {name!r}") from None
 
 
-def psi(p_prime: int, t: float, profile=C1_PROFILE) -> float:
-    """(1 + 2p') * eta(t) * log(t), with t = m|z|^2 / (log m)^2; ValueError at the pole t <= 0."""
-    return (1 + 2 * p_prime) * profile.eta(t) * math.log(t)
+def psi_hessian_bound_check(geom: ModelGeometry, m: int, p_prime: int, profile) -> float:
+    """The margin of d^2 psi / dz dzbar >= -100 m (1+2p') / (log m)^2 * g / (2 pi).
 
-
-def psi_hessian_bound_check(
-    geom: ModelGeometry, m: int, p_prime: int, profile=C1_PROFILE
-) -> float:
-    """The margin of d^2 Psi / dz dzbar >= -100 m (1+2p') / (log m)^2 * g / (2 pi).
-
-    The mixed derivative is geometry.mixed_derivative.  The bound
-    is the curvature inequality written for the Kahler form convention
-    omega = (i/2pi) g dz ^ dzbar; dropping the 2 pi only loosens it.  The
-    grid covers the inner plateau, the transition annulus, and the outer
-    region, staying clear of the logarithmic pole.  The bound holds where
-    the returned minimum over the grid is >= 0.
+    psi = (1 + 2p') eta(t) log t with t = kappa |z|^2, kappa = m / (log m)^2, is radial,
+    so d^2 psi / dz dzbar = kappa (1 + 2p') (eta'(t) (log t + 2) + t eta''(t) log t).
+    The bound is the curvature inequality written for the Kahler form
+    convention omega = (i/2pi) g dz ^ dzbar; dropping the 2 pi only loosens
+    it.  The t grid covers the inner plateau, the transition annulus, and the
+    outer region, staying clear of the logarithmic pole and of the knots.
+    The bound holds where the returned minimum over the grid is >= 0.
     """
     log_m = math.log(m)
+    kappa = m / log_m**2
     coeff = -100.0 * m * (1 + 2 * p_prime) / log_m**2 / TWO_PI
-
-    # eta-argument values; offsets keep stencils off the knot circles.
     t_values = [0.12, 0.25, 0.40, 1.05, 1.15, 1.30]
-    for i in range(RADIAL_POINTS):
-        t_values.append(0.52 + (0.98 - 0.52) * i / (RADIAL_POINTS - 1))
-
-    def p(xx: float, yy: float) -> float:
-        return psi(p_prime, m * (xx * xx + yy * yy) / log_m**2, profile)
-
+    t_values += [0.52 + (0.98 - 0.52) * i / (RADIAL_POINTS - 1) for i in range(RADIAL_POINTS)]
     min_margin = math.inf
     for t in t_values:
-        r = log_m * math.sqrt(t / m)
-        h = STEP_SCALE * r
-        for j in range(ANGULAR_POINTS):
-            theta = TWO_PI * (j + 0.5) / ANGULAR_POINTS
-            x, y = r * math.cos(theta), r * math.sin(theta)
-            ddbar = mixed_derivative(p, x, y, h)
-            min_margin = min(min_margin, ddbar - coeff * metric_density(geom, complex(x, y)))
+        log_t = math.log(t)
+        shape = profile.eta_d1(t) * (log_t + 2.0) + t * profile.eta_d2(t) * log_t
+        ddbar = kappa * (1 + 2 * p_prime) * shape
+        g = metric_density(geom, log_m * math.sqrt(t / m))
+        min_margin = min(min_margin, ddbar - coeff * g)
     return min_margin

@@ -45,9 +45,13 @@ class ModelGeometry:
             raise ValueError(f"radius {r!r} outside model disk of radius {self.max_radius!r}")
 
 
-def _log_conformal_factor(geom: ModelGeometry, r: float, w: float | None = None) -> float:
-    """log(1 + w), w = rho r^2 / 2 unless given; below 1/2, 1 + w is formed exactly."""
-    w = 0.5 * geom.rho * r * r if w is None else w
+def _half_rho_r2(geom: ModelGeometry, r: float) -> float:
+    """w = rho r^2 / 2, halving r: halving a subnormal rho would drop its last bit."""
+    return geom.rho * (0.5 * r) * r
+
+
+def _log_conformal_factor(geom: ModelGeometry, r: float, w: float) -> float:
+    """log(1 + w), w = rho r^2 / 2; below 1/2, 1 + w is formed exactly."""
     if w >= -0.5:
         return math.log1p(w)
     return math.log(1 + Fraction(geom.rho) * Fraction(r) ** 2 / 2)
@@ -58,22 +62,18 @@ def log_metric_density(geom: ModelGeometry, r: float) -> float:
     geom.require_inside(r)
     if geom.rho == 0.0:
         return 0.0
-    return -2.0 * _log_conformal_factor(geom, r)
+    return -2.0 * _log_conformal_factor(geom, r, _half_rho_r2(geom, r))
 
 
 def log_bundle_weight(geom: ModelGeometry, r: float) -> float:
     """log a at radius r; a = (1 + rho r^2 / 2)^(-2/rho), e^(-r^2) at rho=0."""
     geom.require_inside(r)
-    if geom.rho == 0.0:
+    w = _half_rho_r2(geom, r)
+    if abs(w) < 2.0**-53:  # log a = -r^2 log1p(w) / w is -r^2 to within |w| / 2 < u / 2
         return -r * r
-    c = -2.0 / geom.rho
+    c = -2.0 / geom.rho  # overflows below |rho| = 2/DBL_MAX, so is then formed at rho 2^64
     if math.isfinite(c):
-        return c * _log_conformal_factor(geom, r)
-    # |rho| < 2/DBL_MAX: w is formed without halving a subnormal rho, and log a =
-    # -r^2 log1p(w)/w is -r^2 to within |w|/2 < u/2, or -2/rho is formed at rho 2^64
-    w = geom.rho * r * r * 0.5
-    if abs(w) < 2.0**-53:
-        return -r * r
+        return c * _log_conformal_factor(geom, r, w)
     return -2.0 / (geom.rho * 2.0**64) * _log_conformal_factor(geom, r, w) * 2.0**64
 
 

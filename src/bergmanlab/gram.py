@@ -59,7 +59,9 @@ def schur_i00(G: BorderedGram) -> tuple[float, tuple[float, float]]:
 
     Returns the value together with an interval obtained by first-order
     propagation of the entry budgets: the sensitivity of the corner entry to
-    F_ij is -(F^-1)_0i (F^-1)_j0.
+    F_ij is -(F^-1)_0i (F^-1)_j0.  The first column of F^-1 is
+    [value, -x / f00] from the solve below, and its first row is the
+    conjugate, F being Hermitian.
     """
     np.linalg.cholesky(G.entries)  # positive-definiteness gate: LinAlgError, a ValueError
     F = G.entries
@@ -71,8 +73,8 @@ def schur_i00(G: BorderedGram) -> tuple[float, tuple[float, float]]:
     x = np.linalg.solve(m_tilde, col)
     value = float(1.0 / f00 + (row @ x).real / f00**2)
 
-    f_inv = np.linalg.inv(F)
-    sensitivity = np.abs(np.outer(f_inv[0, :], f_inv[:, 0]))
+    first = np.abs(np.concatenate(([value], x / f00)))
+    sensitivity = np.outer(first, first)
     spread = float(np.sum(G.budgets * sensitivity))
     return value, (float(value - spread), float(value + spread))
 

@@ -56,6 +56,7 @@ LN2 = math.log(2.0)
 DEC = decimal.Context(prec=50, Emin=-(10**9), Emax=10**9)
 UD = Decimal("1e-49")  # relative error of one DEC operation, rounded up from half an ulp
 SERIES_TOL = Decimal("1e-20")  # the lower series stops when its tail bound is below this share
+MAX_TERMS = 10**6  # the lower series is refused where its terms grow for longer (about 1.5 s)
 
 
 @dataclass(frozen=True)
@@ -204,6 +205,13 @@ def _series(rho: float, m: int, p: int, radius: float) -> tuple[float, float]:
             zf, zc = (y, lo) if y <= 1 - h else (1 - h, h)
             z, ab, cz, log_boundary = _dec(zf), _dec(a + b), _dec(2 * zf / sig), _dec(b) * _log(zc)
             amplified = 4 * abs(log_boundary)  # b, log zc and their product round by UD each
+        # the ratio of _lower_series is above 1 for this many terms, which it must pass
+        grow = z - a if ab is None else ((ab - 1) * z - a) / (1 - z)
+        if grow > MAX_TERMS:
+            raise ValueError(
+                f"moment at m={m}, p={p}, radius={radius!r} needs over {grow:.1e} series terms "
+                f"(at most {MAX_TERMS:.0e})"
+            )
         s, terms, tail = _lower_series(a, ab, z)
         scale = cz**a * log_boundary.exp() / a  # c^a z^a (1-z)^b / a, or R^2a e^-x / a
         exact = scale * s
@@ -251,7 +259,11 @@ def lambda_inv_sq(geom: ModelGeometry, m: int, p: int, radius: float) -> RadialM
     the rho = 0 moment where 2m/|rho| overflows and the weight is that of
     rho = 0 to within u, the lower series elsewhere (see the module
     docstring); abs_err is a proven bound on |value - exact|.  A moment
-    beyond the largest double raises ValueError.
+    beyond the largest double raises ValueError, and so does one whose lower
+    series has terms that grow for more than MAX_TERMS steps.  That happens
+    only where 2m/|rho| overflows and the weight is not that of rho = 0 to
+    within u, which takes m R^2 above about 1e146; the terms then grow for
+    about m R^2 steps.
     """
     if m < 2:
         raise ValueError("m must be >= 2")

@@ -207,7 +207,7 @@ def test_criterion_8_weight_hessian_bound():
     geom = ModelGeometry(-2.0)
     worst = math.inf
     for m, p_prime in ((10**3, 2), (10**4, 2), (10**4, 3)):
-        margin = psi_hessian_bound_check(geom, m, p_prime)
+        margin = psi_hessian_bound_check(geom, m, p_prime, C1_PROFILE)
         assert margin >= 0.0  # form-normalized bound (with the 2 pi)
         # plain bound as stated by the gate: -100 m (1+2p')/(log m)^2 * g
         worst = min(worst, margin)
@@ -245,15 +245,15 @@ def test_criterion_9_moment_symmetry():
     grid_diag = max(abs(diag[a] / lambda_inv_sq(geom, m, a, R).value - 1.0) for a in range(deg))
     # diagonal moments against an independent fine-grid trapezoid oracle
     r = np.linspace(0.0, R, 200_001)
+    mask = r > 0
+    rm = r[mask]
+    weight = np.exp(
+        np.array([m * log_bundle_weight(geom, ri) + log_metric_density(geom, ri) for ri in rm])
+    )
     worst = 0.0
     for alpha in range(deg):
         f = np.zeros_like(r)
-        mask = r > 0
-        rm = r[mask]
-        logs = np.array(
-            [m * log_bundle_weight(geom, ri) + log_metric_density(geom, ri) for ri in rm]
-        )
-        f[mask] = 2.0 * rm ** (2 * alpha + 1) * np.exp(logs)
+        f[mask] = 2.0 * rm ** (2 * alpha + 1) * weight
         oracle = float(np.trapezoid(f, r))
         val = lambda_inv_sq(geom, m, alpha, R).value
         worst = max(worst, abs(val - oracle) / oracle)

@@ -351,6 +351,26 @@ def test_moment_beyond_double_range_exits_2_before_output(capsys):
     assert err.startswith("error:") and err.count("\n") == 1 and "double range" in err
 
 
+@pytest.mark.parametrize(
+    "rho, m, max_degree, radius",
+    [
+        ("1e-320", "100", "0", "1e100"),
+        ("2.506349287836567e-305", "41834289", "2", "1.8411425050293988e+75"),
+        ("9.3828434203e-314", "4", "0", "5.399627073217853e+93"),
+    ],
+)
+def test_moment_with_too_long_series_exits_2_fast(rho, m, max_degree, radius, capsys):
+    # 2m/|rho| overflows and the weight is not that of rho = 0 to within u, so the
+    # lower series would grow its terms for about m R^2 > 1e146 steps
+    argv = ["moments", "--rho", rho, "--m", m, "--max-degree", max_degree, "--radius", radius]
+    start = time.perf_counter()
+    code, out, err = run(argv, capsys)
+    assert time.perf_counter() - start < 2.0
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1 and "series terms" in err
+
+
 def test_moments_rejects_zero_radius(capsys):
     code, _, err = run(["moments", "--rho", "0", "--m", "50", "--radius", "0"], capsys)
     assert code == 2

@@ -1,15 +1,16 @@
 import math
 
+import mpmath
 import pytest
 
 from bergmanlab.cutoff import (
     C1_PROFILE,
+    RADIAL_POINTS,
     SMOOTH_PROFILE,
     get_profile,
-    psi,
     psi_hessian_bound_check,
 )
-from bergmanlab.geometry import ModelGeometry
+from bergmanlab.geometry import ModelGeometry, metric_density, mixed_derivative
 
 
 SAMPLES = [1.2 * (i + 0.5) / 10_000 for i in range(10_000)]
@@ -76,42 +77,69 @@ def test_get_profile():
         get_profile("c2")
 
 
-def test_psi_values():
-    # eta-argument at and past 1: the cut-off kills the product.
-    assert psi(2, 1.0) == 0.0
-    assert psi(2, 4.0) == 0.0
-    # eta-argument exactly 1/2: eta = 1, value is 5 log(1/2).
-    assert psi(2, 0.5) == pytest.approx(5.0 * math.log(0.5), rel=1e-12)
-    # generic point: direct re-evaluation of the displayed formula at z = 0.1, m = 100.
-    t = 100 * 0.1 * 0.1 / math.log(100) ** 2
-    expected = 5.0 * C1_PROFILE.eta(t) * math.log(t)
-    assert psi(2, t) == pytest.approx(expected, rel=1e-12)
+def _t_grid():
+    # psi_hessian_bound_check's grid: plateau, transition annulus, outer region
+    t_values = [0.12, 0.25, 0.40, 1.05, 1.15, 1.30]
+    return t_values + [
+        0.52 + (0.98 - 0.52) * i / (RADIAL_POINTS - 1) for i in range(RADIAL_POINTS)
+    ]
 
 
-def test_psi_pole():
-    with pytest.raises(ValueError):
-        psi(2, 0.0)
+def _mpmath_margin(profile, m, p_prime):
+    """kappa (psi' + t psi'') - coeff g at 40 digits, psi(t) = (1+2p') eta(t) log t."""
+    with mpmath.workdps(40):
+        log_m = mpmath.log(m)
+        kappa = m / log_m**2
+        coeff = -100 * kappa * (1 + 2 * p_prime) / (2 * mpmath.pi)
+        # the profiles' eta is polynomial arithmetic, so it evaluates in mpf
+        psi = lambda t: (1 + 2 * p_prime) * profile.eta(t) * mpmath.log(t)
+        worst = mpmath.inf
+        for t in _t_grid():
+            t = mpmath.mpf(t)
+            d1, d2 = mpmath.diff(psi, t, 1), mpmath.diff(psi, t, 2)
+            g = (1 - log_m**2 * t / m) ** -2  # (1 + rho r^2 / 2)^-2 at rho = -2
+            worst = min(worst, kappa * (d1 + t * d2) - coeff * g)
+        return float(worst)
 
 
-def test_psi_nonpositive():
-    for i in range(1, 400):
-        assert psi(3, 1.3 * i / 400) <= 0.0
+def _stencil_margin(geom, m, p_prime, profile):
+    """The margin by a 5-point stencil at 6 angles per radius, step 1e-3 r."""
+    log_m = math.log(m)
+    coeff = -100.0 * m * (1 + 2 * p_prime) / log_m**2 / (2 * math.pi)
+
+    def psi(x, y):
+        t = m * (x * x + y * y) / log_m**2
+        return (1 + 2 * p_prime) * profile.eta(t) * math.log(t)
+
+    worst = math.inf
+    for t in _t_grid():
+        r = log_m * math.sqrt(t / m)
+        for j in range(6):
+            theta = 2 * math.pi * (j + 0.5) / 6
+            x, y = r * math.cos(theta), r * math.sin(theta)
+            ddbar = mixed_derivative(psi, x, y, 1e-3 * r)
+            worst = min(worst, ddbar - coeff * metric_density(geom, complex(x, y)))
+    return worst
 
 
-# Margins of the parent implementation, pinned bit for bit.
+# Margins of the closed form, pinned bit for bit.
 @pytest.mark.parametrize(
     "profile, m, p_prime, expected",
     [
-        (C1_PROFILE, 10**3, 2, 1092.753411626933),
-        (C1_PROFILE, 10**4, 2, 5549.602404908126),
-        (C1_PROFILE, 10**4, 3, 7769.443366895484),
-        (SMOOTH_PROFILE, 10**3, 2, 1169.7771814106575),
-        (SMOOTH_PROFILE, 10**4, 2, 5932.326886716945),
-        (SMOOTH_PROFILE, 10**4, 3, 8305.257641390954),
+        (C1_PROFILE, 10**3, 2, 1092.7530983550987),
+        (C1_PROFILE, 10**4, 2, 5549.600642926265),
+        (C1_PROFILE, 10**4, 3, 7769.440900096771),
+        (SMOOTH_PROFILE, 10**3, 2, 1169.7718279834949),
+        (SMOOTH_PROFILE, 10**4, 2, 5932.296773601373),
+        (SMOOTH_PROFILE, 10**4, 3, 8305.21548304192),
     ],
     ids=[f"profile{i}-{m}-{p}" for i in (0, 1) for m, p in ((1000, 2), (10000, 2), (10000, 3))],
 )
 def test_psi_hessian_bound(profile, m, p_prime, expected):
-    margin = psi_hessian_bound_check(ModelGeometry(-2.0), m, p_prime, profile)
+    geom = ModelGeometry(-2.0)
+    margin = psi_hessian_bound_check(geom, m, p_prime, profile)
     assert margin >= 0.0
     assert margin == expected
+    assert margin == pytest.approx(_mpmath_margin(profile, m, p_prime), rel=1e-12, abs=0)
+    # the stencil's O(h^2) error is about 5e-6 of the margin
+    assert margin == pytest.approx(_stencil_margin(geom, m, p_prime, profile), rel=1e-5, abs=0)

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import mpmath
 import pytest
@@ -68,6 +69,24 @@ def test_log_bundle_weight_where_two_over_rho_overflows(rho, r):
     with mpmath.workdps(40):
         want = -2 / mpmath.mpf(rho) * mpmath.log1p(mpmath.mpf(rho) * mpmath.mpf(r) ** 2 / 2)
     assert abs(log_bundle_weight(ModelGeometry(rho), r) - want) <= 1e-15 * abs(want)
+
+
+SUBNORMAL_RANGE_RHO = [1.2e-308, -1.2e-308, 1.5e-308, -1.5e-308, 2.1e-308, -2.1e-308]
+
+
+@pytest.mark.parametrize("rho", SUBNORMAL_RANGE_RHO)
+@pytest.mark.parametrize("r", [0.3, 10.0, 1e100])
+def test_log_weights_at_subnormal_range_rho(rho, r):
+    # -2/rho is finite here, but halving rho (subnormal below 2.2e-308) would drop its last bit
+    with mpmath.workdps(40):
+        log_phi = mpmath.log1p(mpmath.mpf(rho) * mpmath.mpf(r) ** 2 / 2)
+        want_a, want_g = -2 / mpmath.mpf(rho) * log_phi, -2 * log_phi
+    geom = ModelGeometry(rho)
+    assert abs(log_bundle_weight(geom, r) - want_a) <= 2.0**-53 * abs(want_a)
+    # log g = -2w is itself subnormal at r = 0.3, where each of the two roundings of w
+    # is worth up to 1 u of DBL_MIN; so the error is taken against max(|log g|, DBL_MIN)
+    floor = max(abs(want_g), sys.float_info.min)
+    assert abs(log_metric_density(geom, r) - want_g) <= 3 * 2.0**-53 * floor
 
 
 @pytest.mark.parametrize("rho", [-1e-308, -1e-320, -5e-324])

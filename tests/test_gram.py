@@ -128,6 +128,19 @@ def test_budget_monotonicity():
     assert hi2 - lo2 >= hi1 - lo1
 
 
+def test_schur_spread_matches_dense_inverse():
+    # the sensitivity read from the Schur solve against the one from the dense inverse
+    rng = np.random.default_rng(11)
+    for dim in range(2, 13):
+        G = random_pd(rng, dim)
+        G.budgets = rng.uniform(0.0, 1e-6, size=(dim, dim))
+        value, (lo, hi) = schur_i00(G)
+        f_inv = np.linalg.inv(G.entries)
+        spread = np.sum(G.budgets * np.abs(np.outer(f_inv[0, :], f_inv[:, 0])))
+        assert hi - value == pytest.approx(spread, rel=1e-12)
+        assert value - lo == pytest.approx(spread, rel=1e-12)
+
+
 def test_zero_budget_truncated_gram_is_exactly_one():
     G = assemble_truncated_gram(5, 0.0)
     value, (lo, hi) = schur_i00(G)
