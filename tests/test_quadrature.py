@@ -176,6 +176,13 @@ def test_moment_at_tiny_rho_matches_mpmath(rho):
             assert got.abs_err <= 1e-12 * got.value, (m, p, got)
 
 
+def test_reference_moment_at_huge_finite_b():
+    # b = 2m/rho is 7.9e250; the moment is p!/m^a to within O(p^2 rho / m)
+    m, p = 725, 3
+    flat = mpmath.factorial(p) / mpmath.mpf(m) ** (p + 1)
+    assert abs(exact_moment(1.83e-248, m, p, 9.7e94) - flat) <= 1e-10 * flat
+
+
 def test_closed_form_preconditions():
     with pytest.raises(ValueError):
         lambda0_closed_form(SPHERE, 1)
