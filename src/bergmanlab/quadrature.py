@@ -7,11 +7,10 @@ for rho != 0, c = 2/|rho|, with y = |rho| R^2 / 2, b = 2m/|rho| - 1 for
 rho < 0 and y = u/(1+u), u = rho R^2 / 2, b = 2m/rho + 1 - p for rho > 0
 (DLMF 8.4, 8.17).  Two routes sum positive terms:
 
-* complement, where b > 0 is in the double range and Q <= 1/2, in floating
-  point: P (1 - Q) with P = p!/m^a or c^a p!/(b)_a exact and
-  Q = e^-x sum_{k<=p} x^k/k! or (1-y)^b sum_{j<=p} (b)_j y^j/j!, taking
-  1 - Q as -expm1(log Q) and the boundary factor from the geometry,
-  m log a(R) + log g(R)/2 (+ p log(1+u));
+* complement, where b > 0 and Q <= 1/2, in floating point: P (1 - Q) with
+  P = p!/m^a or c^a p!/(b)_a exact and Q = e^-x sum_{k<=p} x^k/k! or
+  (1-y)^b sum_{j<=p} (b)_j y^j/j!, taking 1 - Q as -expm1(log Q) and the
+  boundary factor from the geometry, m log a(R) + log g(R)/2 (+ p log(1+u));
 * lower series (DLMF 8.5.1, 8.17.8) elsewhere, in 50-digit decimals from the
   exact rational inputs: x^a e^-x/a sum x^n/(a+1)_n or
   y^a (1-y)^b/a sum (a+b)_n/(a+1)_n y^n, with log(1-y) carried to the digits
@@ -20,8 +19,14 @@ rho < 0 and y = u/(1+u), u = rho R^2 / 2, b = 2m/rho + 1 - p for rho > 0
   [1-y, h] (a log term at b + k = 0), whose alternating sum loses at most
   ((1+h)/(1-h))^p <= e^32 of the 50 digits.
 
-Where 2m/|rho| is beyond the doubles and a^m g is e^(-m r^2) to within u on
-[0, R], the rho = 0 moment is taken, its bound widened (_near_flat).
+Where b is beyond the doubles, each factor (b + j - 1) y / j of Q's sum is
+b y / j to within a relative (j - 1)/b < p 2^-1023, far below 2^-53, so the
+complement sums x^j/j! at x = b y, rounded once from the exact rationals.
+The lower series is reached there only where Q > 1/2, which takes x below
+about p + 1 (Q is then a Poisson distribution function of mean x, whose
+median is above x - log 2).  Its ratio (a + b + n - 1) y / (a + n) =
+(x + (a + n - 1) y) / (a + n) is then below 1 from the first term, so no
+stretch of growing terms precedes its tail bound.
 
 abs_err is a proven bound: Higham's gamma_n = n u / (1 - n u), u = 2^-53,
 over the float roundings done (exp, log, log1p, expm1 within one ulp), or
@@ -56,7 +61,6 @@ LN2 = math.log(2.0)
 DEC = decimal.Context(prec=50, Emin=-(10**9), Emax=10**9)
 UD = Decimal("1e-49")  # relative error of one DEC operation, rounded up from half an ulp
 SERIES_TOL = Decimal("1e-20")  # the lower series stops when its tail bound is below this share
-MAX_TERMS = 10**6  # the lower series is refused where its terms grow for longer (about 1.5 s)
 
 
 @dataclass(frozen=True)
@@ -89,17 +93,23 @@ def _complement(geom: ModelGeometry, m: int, p: int, radius: float) -> tuple[flo
         top = 2 * m * d + n * (-1 if rho < 0 else 1 - p)  # |rho| b d, an exact integer
         if top <= 0:
             return None
-        try:
-            b = top / n
-        except OverflowError:  # 2m/|rho| is beyond the doubles; the series takes b exactly
-            return None
         num, den = math.factorial(p) * (2 * d) ** a, math.prod(top + n * k for k in range(a))
         if rho > 0:
             pieces.append(p * math.log1p(w))
-        z, arg_err = (w / (1.0 + w) if rho > 0 else -w), _gamma(7)  # with b's rounding
+        arg_err = _gamma(7)  # with the rounding of b, or of x and each factor's (j - 1)/b
         # log(1 + w) moves this much by the rounding of w (or of the exact
         # 1 + w near the disk's edge), weighted as the boundary log carries it
-        log1p_err = 2.0 * _gamma(2) * min(abs(w), 1.0) * (2.0 * m / abs(rho) + 1 + p)
+        try:
+            b = top / n
+        except OverflowError:  # the sum of rho = 0 at x = b y (module docstring)
+            r2 = Fraction(radius) ** 2
+            wq = Fraction(rho) * r2 / 2
+            b, z = None, float(top * (wq / (1 + wq) if rho > 0 else -wq) / n)
+            # the else branch's weight with |w| >= min(|w|, 1), exactly: m R^2 + (1 + p) |w|
+            log1p_err = 2.0 * _gamma(2) * float(m * r2 + (1 + p) * abs(wq))
+        else:
+            z = w / (1.0 + w) if rho > 0 else -w
+            log1p_err = 2.0 * _gamma(2) * min(abs(w), 1.0) * (2.0 * m / abs(rho) + 1 + p)
     t = s = 1.0
     scale = 0  # the sum is s 2^scale; exact power-of-two steps keep s in [1/2, 1)
     for j in range(1, a):
@@ -205,13 +215,6 @@ def _series(rho: float, m: int, p: int, radius: float) -> tuple[float, float]:
             zf, zc = (y, lo) if y <= 1 - h else (1 - h, h)
             z, ab, cz, log_boundary = _dec(zf), _dec(a + b), _dec(2 * zf / sig), _dec(b) * _log(zc)
             amplified = 4 * abs(log_boundary)  # b, log zc and their product round by UD each
-        # the ratio of _lower_series is above 1 for this many terms, which it must pass
-        grow = z - a if ab is None else ((ab - 1) * z - a) / (1 - z)
-        if grow > MAX_TERMS:
-            raise ValueError(
-                f"moment at m={m}, p={p}, radius={radius!r} needs over {grow:.1e} series terms "
-                f"(at most {MAX_TERMS:.0e})"
-            )
         s, terms, tail = _lower_series(a, ab, z)
         scale = cz**a * log_boundary.exp() / a  # c^a z^a (1-z)^b / a, or R^2a e^-x / a
         exact = scale * s
@@ -227,43 +230,12 @@ def _series(rho: float, m: int, p: int, radius: float) -> tuple[float, float]:
     return value, (U * value + float(err)) * (1.0 + _gamma(4)) + TINY
 
 
-def _near_flat(geom: ModelGeometry, m: int, p: int, radius: float) -> tuple[float, float] | None:
-    """The rho = 0 moment and its widened bound, or None unless 2m/|rho| overflows and d <= u.
-
-    With w = rho r^2 / 2, log(a^m g) + m r^2 = -(2m/rho)(log(1+w) - w) - 2 log(1+w),
-    and for |w| < 1, |log(1+w) - w| <= w^2 / (2 (1 - |w|)) and |log(1+w)| <= |w| / (1 - |w|).
-    Both grow with r, so on [0, R] the sum is at most d = |rho| (m R^4/4 + R^2) / (1 - |w(R)|),
-    taken here in exact rationals.  The integrand is then the rho = 0 one times e^delta,
-    |delta| <= d, so the moment is within I_0 expm1(d) <= (value + abs_err) d (1 + u) of the
-    rho = 0 moment I_0, which is within abs_err of value.
-    """
-    rho = abs(geom.rho)
-    if not 0.0 < rho * (0.5 * sys.float_info.max) < m:  # 2m/|rho| is beyond the doubles
-        return None
-    r2 = Fraction(radius) ** 2
-    w = Fraction(rho) * r2 / 2
-    if w >= 1:
-        return None
-    d = Fraction(rho) * (m * r2 * r2 / 4 + r2) / (1 - w)
-    if d > U:
-        return None
-    value, err = _complement(ModelGeometry(0.0), m, p, radius) or _series(0.0, m, p, radius)
-    # expm1(d) <= d (1 + u), float(d) >= d / (1 + u) and four roundings: gamma(8) covers them
-    return value, (err + (value + err) * float(d)) * (1.0 + _gamma(8)) + TINY
-
-
 def lambda_inv_sq(geom: ModelGeometry, m: int, p: int, radius: float) -> RadialMoment:
     """2 * integral_0^R r^(2p+1) a(r)^m g(r) dr in closed form.
 
-    The complement route where b > 0 is in the double range and Q <= 1/2,
-    the rho = 0 moment where 2m/|rho| overflows and the weight is that of
-    rho = 0 to within u, the lower series elsewhere (see the module
-    docstring); abs_err is a proven bound on |value - exact|.  A moment
-    beyond the largest double raises ValueError, and so does one whose lower
-    series has terms that grow for more than MAX_TERMS steps.  That happens
-    only where 2m/|rho| overflows and the weight is not that of rho = 0 to
-    within u, which takes m R^2 above about 1e146; the terms then grow for
-    about m R^2 steps.
+    The complement route where b > 0 and Q <= 1/2, the lower series
+    elsewhere (see the module docstring); abs_err is a proven bound on
+    |value - exact|.  A moment beyond the largest double raises ValueError.
     """
     if m < 2:
         raise ValueError("m must be >= 2")
@@ -274,11 +246,7 @@ def lambda_inv_sq(geom: ModelGeometry, m: int, p: int, radius: float) -> RadialM
     if not math.isfinite(m * max(abs(geom.rho), 1.0) * radius * radius):  # x and u are doubles
         raise ValueError(f"radius {radius!r} too large for m={m} at rho={geom.rho!r}")
     try:
-        result = (
-            _complement(geom, m, p, radius)
-            or _near_flat(geom, m, p, radius)
-            or _series(geom.rho, m, p, radius)
-        )
+        result = _complement(geom, m, p, radius) or _series(geom.rho, m, p, radius)
     except OverflowError:
         raise ValueError(
             f"moment at m={m}, p={p}, radius={radius!r} exceeds the double range"

@@ -329,8 +329,8 @@ def test_moments_table_entry_matches_mpmath(rho, m, p, radius, capsys):
 
 
 def test_moment_where_two_m_over_rho_overflows_is_fast(capsys):
-    # 2m/|rho| passes the largest double and the weight is that of rho = 0 to
-    # within u: the rho = 0 moment, widened, in place of about 9e6 series terms
+    # 2m/|rho| passes the largest double: the complement sums the rho = 0
+    # terms at x = b y, in place of about 9e6 lower-series terms
     argv = ["moments", "--rho", "1e-320", "--m", "100000000", "--max-degree", "0",
             "--radius", "0.3"]
     start = time.perf_counter()
@@ -359,16 +359,19 @@ def test_moment_beyond_double_range_exits_2_before_output(capsys):
         ("9.3828434203e-314", "4", "0", "5.399627073217853e+93"),
     ],
 )
-def test_moment_with_too_long_series_exits_2_fast(rho, m, max_degree, radius, capsys):
-    # 2m/|rho| overflows and the weight is not that of rho = 0 to within u, so the
-    # lower series would grow its terms for about m R^2 > 1e146 steps
+def test_moment_where_b_overflows_at_large_radius_is_fast(rho, m, max_degree, radius, capsys):
+    # 2m/|rho| overflows and m R^2 > 1e146: Q underflows far below u, and a
+    # lower series in b would grow its terms for about m R^2 steps
     argv = ["moments", "--rho", rho, "--m", m, "--max-degree", max_degree, "--radius", radius]
     start = time.perf_counter()
-    code, out, err = run(argv, capsys)
+    code, out, _ = run(argv, capsys)
     assert time.perf_counter() - start < 2.0
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error:") and err.count("\n") == 1 and "series terms" in err
+    assert code == 0
+    rows = [line.split(",") for line in out.split()[1:]]
+    assert [row[0] for row in rows] == [str(p) for p in range(int(max_degree) + 1)]
+    for p, value, abs_err in rows:
+        exact = exact_moment(float(rho), int(m), int(p), float(radius))
+        assert abs(mpmath.mpf(value) - exact) <= mpmath.mpf(abs_err), (p, value, abs_err)
 
 
 def test_moments_rejects_zero_radius(capsys):
@@ -472,6 +475,33 @@ def test_moments_rows_hold_their_error_bars(rho, m, max_degree):
         p, value, abs_err = line.split(",")
         exact = exact_moment(rho, m, int(p), radius)
         assert abs(mpmath.mpf(value) - exact) <= mpmath.mpf(abs_err), (p, value, abs_err)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(min_value=2, max_value=10**12),
+    st.integers(min_value=0, max_value=3),
+    st.floats(min_value=0.0, exclude_min=True),
+)
+@example(1e-320, 100, 0, 1e100)  # 2m/|rho| overflows and m R^2 = 1e202
+@example(-5e-324, 10**12, 3, 1e161)  # m R^2 overflows
+def test_moments_exits_0_with_finite_rows_or_2_with_one_line(rho, m, max_degree, radius):
+    out, err = io.StringIO(), io.StringIO()
+    argv = ["moments", f"--rho={rho!r}", "--m", str(m), "--max-degree", str(max_degree),
+            f"--radius={radius!r}"]
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    if code == 0:
+        lines = out.getvalue().split()
+        assert lines[0] == "p,value,abs_err" and len(lines) == max_degree + 2
+        for line in lines[1:]:
+            _, value, abs_err = map(float, line.split(","))
+            assert math.isfinite(value) and math.isfinite(abs_err) and abs_err >= 0.0, line
+    else:
+        assert code == 2
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1
 
 
 def test_gram_command_is_gone(capsys):

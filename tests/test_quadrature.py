@@ -1,5 +1,7 @@
 import math
+import random
 import sys
+import time
 
 import mpmath
 import numpy as np
@@ -167,13 +169,59 @@ def test_tail_at_huge_rho_matches_mpmath(rho):
 )
 def test_moment_at_tiny_rho_matches_mpmath(rho):
     # 1 - y cancels about log10(1/y) digits and 2m/|rho| can pass the largest
-    # double; p = 30 at m = 100 takes the lower series
+    # double; p = 30 at m = 100 takes the lower series.  R = 1e80 and the
+    # disk's edge are taken where they lie inside the disk; m R^2 beyond the
+    # largest double is refused.
     geom = ModelGeometry(rho)
+    edge = geom.max_radius
     for m in (100, 10**6):
+        radii = [truncation_radius(m)] + [r for r in (1e80, math.nextafter(edge, 0.0)) if r < edge]
         for p in (0, 3, 30):
-            got, rel, holds = check_against_mpmath(geom, m, p, truncation_radius(m))
-            assert rel <= 1e-13 and holds, (m, p, got, rel)
-            assert got.abs_err <= 1e-12 * got.value, (m, p, got)
+            for radius in radii:
+                if not math.isfinite(m * radius * radius):
+                    with pytest.raises(ValueError, match="too large"):
+                        lambda_inv_sq(geom, m, p, radius)
+                    continue
+                got, rel, holds = check_against_mpmath(geom, m, p, radius)
+                assert rel <= 1e-13 and holds, (m, p, radius, got, rel)
+                assert got.abs_err <= 1e-12 * got.value, (m, p, radius, got)
+
+
+def fuzz_inputs(seed, count):
+    """Seeded (rho, m, p, radius) over the CLI's range of tiny to large |rho|.
+
+    |rho| is log-uniform on [1e-323, 1e3] with either sign, m on [2, 1e12],
+    p on 0..3 and the radius on [1e-5, 1e100], moved inside the disk
+    (towards its edge, log-uniformly) where it falls outside.
+    """
+    rng = random.Random(seed)
+    for _ in range(count):
+        rho = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-323.0, 3.0)
+        m = int(2 * 10.0 ** rng.uniform(0.0, 11.7))
+        p = rng.randrange(4)
+        radius = 10.0 ** rng.uniform(-5.0, 100.0)
+        edge = ModelGeometry(rho).max_radius
+        if radius >= edge:
+            radius = min(edge * (1.0 - 10.0 ** rng.uniform(-16.0, 0.0)), math.nextafter(edge, 0.0))
+        yield rho, m, p, radius
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_moment_fuzz_holds_its_error_bar(seed):
+    # every moment is within abs_err of mpmath, or beyond the doubles, each
+    # within 2 s; no moment is refused for the length of its lower series
+    for rho, m, p, radius in fuzz_inputs(seed, 100):
+        start = time.perf_counter()
+        try:
+            got = lambda_inv_sq(ModelGeometry(rho), m, p, radius)
+        except ValueError as exc:
+            assert "double range" in str(exc), (rho, m, p, radius, exc)
+            assert exact_moment(rho, m, p, radius) > sys.float_info.max
+            continue
+        finally:
+            assert time.perf_counter() - start < 2.0, (rho, m, p, radius)
+        err = abs(mpmath.mpf(got.value) - exact_moment(rho, m, p, radius))
+        assert err <= got.abs_err, (rho, m, p, radius, got)
 
 
 def test_reference_moment_at_huge_finite_b():
