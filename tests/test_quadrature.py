@@ -2,6 +2,7 @@ import math
 import random
 import sys
 import time
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -19,6 +20,7 @@ from bergmanlab.quadrature import (
 FLAT = ModelGeometry(0.0)
 SPHERE = ModelGeometry(2.0)
 HYPERBOLIC = ModelGeometry(-2.0)
+DATA = Path(__file__).parent / "data"
 
 
 DBL_MIN = sys.float_info.min
@@ -40,15 +42,20 @@ def check_against_mpmath(geom, m, p, radius):
     return got, float(err / max(abs(exact), DBL_MIN)), err <= got.abs_err
 
 
-@pytest.mark.parametrize("rho", [-10.0, -2.0, -0.5, 0.0, 0.5, 2.0, 100.0])
+CLI_RHOS = (-10.0, -2.0, -0.5, 0.0, 0.5, 2.0, 100.0)
+CLI_MS = (2, 3, 7, 100, 10**4, 10**8)
+CLI_PS = (0, 3, 40, 200)
+
+
+@pytest.mark.parametrize("rho", CLI_RHOS)
 def test_matches_mpmath_on_cli_domain(rho):
     # Small radii, the disk's edge, R = 1e6, p = 200 and b <= 0 (at rho = 2,
     # m = 2, p = 3, b = 0) are all on the grid.  A moment beyond the largest
     # double must raise, and only such a moment.
     geom = ModelGeometry(rho)
     worst = 0.0
-    for m in (2, 3, 7, 100, 10**4, 10**8):
-        for p in (0, 3, 40, 200):
+    for m in CLI_MS:
+        for p in CLI_PS:
             for radius in grid_radii(rho):
                 try:
                     got, rel, holds = check_against_mpmath(geom, m, p, radius)
@@ -60,6 +67,31 @@ def test_matches_mpmath_on_cli_domain(rho):
                 assert holds, (m, p, radius, got)
                 worst = max(worst, rel)
     print(f"rho={rho}: worst relative error {worst:.2e}")
+
+
+def cli_domain_csv():
+    """rho,m,p,radius,value for the grid above, value "refused" where the moment raises.
+
+    tests/data/moments_cli_domain.csv holds this text; regenerate it with
+    `PYTHONPATH=src python tests/test_quadrature.py > tests/data/moments_cli_domain.csv`.
+    """
+    lines = ["rho,m,p,radius,value"]
+    for rho in CLI_RHOS:
+        geom = ModelGeometry(rho)
+        for m in CLI_MS:
+            for p in CLI_PS:
+                for radius in grid_radii(rho):
+                    try:
+                        value = repr(lambda_inv_sq(geom, m, p, radius).value)
+                    except ValueError:
+                        value = "refused"
+                    lines.append(f"{rho!r},{m},{p},{radius!r},{value}")
+    return "\n".join(lines) + "\n"
+
+
+def test_cli_domain_values_match_golden():
+    # bit identity pins the values through changes to the moment routes; abs_err is not pinned
+    assert cli_domain_csv() == (DATA / "moments_cli_domain.csv").read_text()
 
 
 @pytest.mark.parametrize("rho", [-2.0, -0.7, 0.0, 0.3, 2.0])
@@ -322,3 +354,7 @@ def test_validation_errors():
         lambda_inv_sq(SPHERE, 10, 0, 1e160)  # R^2 beyond the float range
     with pytest.raises(ValueError, match="too large"):
         lambda_inv_sq(FLAT, 10**10, 2, 1e150)  # m R^2 beyond it
+
+
+if __name__ == "__main__":
+    sys.stdout.write(cli_domain_csv())
