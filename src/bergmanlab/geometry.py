@@ -60,8 +60,6 @@ def _log_conformal_factor(geom: ModelGeometry, r: float, w: float) -> float:
 def log_metric_density(geom: ModelGeometry, r: float) -> float:
     """log g at radius r; g = (1 + rho r^2 / 2)^(-2), identically 1 at rho=0."""
     geom.require_inside(r)
-    if geom.rho == 0.0:
-        return 0.0
     return -2.0 * _log_conformal_factor(geom, r, _half_rho_r2(geom, r))
 
 

@@ -19,9 +19,11 @@ rho < 0 and y = u/(1+u), u = rho R^2 / 2, b = 2m/rho + 1 - p for rho > 0
   [1-y, h] (a log term at b + k = 0), whose alternating sum loses at most
   ((1+h)/(1-h))^p <= e^32 of the 50 digits.
 
-Where b is beyond the doubles, each factor (b + j - 1) y / j of Q's sum is
-b y / j to within a relative (j - 1)/b < p 2^-1023, far below 2^-53, so the
-complement sums x^j/j! at x = b y, rounded once from the exact rationals.
+rho = 0 is b = infinity: at fixed x = b y, c^a B(y; a, b) tends to
+gamma(a, x) / m^a as b grows (DLMF 8.17, 8.2).  From b = 2^1022 on, each
+factor (b + j - 1) y / j of Q's sum is b y / j to within a relative (j - 1)/b
+< p 2^-1022, far below 2^-53, so the complement sums x^j/j! at x = b y =
+b |rho| R^2 / 2 / (1 + max(u, 0)) in floats; at rho = 0, x = m R^2 and P = p!/m^a.
 The lower series is reached there only where Q > 1/2, which takes x below
 about p + 1 (Q is then a Poisson distribution function of mean x, whose
 median is above x - log 2).  Its ratio (a + b + n - 1) y / (a + n) =
@@ -43,8 +45,9 @@ import sys
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
+from itertools import accumulate, repeat
 
-from .geometry import ModelGeometry, log_bundle_weight, log_metric_density
+from .geometry import ModelGeometry, _half_rho_r2, log_bundle_weight, log_metric_density
 
 __all__ = [
     "RadialMoment",
@@ -78,41 +81,25 @@ def _gamma(n: float) -> float:
     return n * U / (1.0 - n * U)
 
 
+G2, G6, G7, G8 = map(_gamma, (2, 6, 7, 8))  # the gamma_n that every complement takes
+
+
 def _complement(geom: ModelGeometry, m: int, p: int, radius: float) -> tuple[float, float] | None:
-    """P (1 - Q) and its bound in floating point, or None where b <= 0 or Q > 1/2."""
-    rho = geom.rho
-    a = p + 1
-    w = 0.5 * rho * radius * radius
-    pieces = [m * log_bundle_weight(geom, radius), 0.5 * log_metric_density(geom, radius)]
-    if rho == 0.0:
-        z, b = -pieces[0], None  # the sum sees the x that the boundary factor saw
-        num, den = math.factorial(p), m**a
-        arg_err, log1p_err = _gamma(2), 0.0
-    else:
-        n, d = abs(rho).as_integer_ratio()
-        top = 2 * m * d + n * (-1 if rho < 0 else 1 - p)  # |rho| b d, an exact integer
-        if top <= 0:
-            return None
-        num, den = math.factorial(p) * (2 * d) ** a, math.prod(top + n * k for k in range(a))
-        if rho > 0:
-            pieces.append(p * math.log1p(w))
-        arg_err = _gamma(7)  # with the rounding of b, or of x and each factor's (j - 1)/b
-        # log(1 + w) moves this much by the rounding of w (or of the exact
-        # 1 + w near the disk's edge), weighted as the boundary log carries it
-        try:
-            b = top / n
-        except OverflowError:  # the sum of rho = 0 at x = b y (module docstring)
-            r2 = Fraction(radius) ** 2
-            wq = Fraction(rho) * r2 / 2
-            b, z = None, float(top * (wq / (1 + wq) if rho > 0 else -wq) / n)
-            # the else branch's weight with |w| >= min(|w|, 1), exactly: m R^2 + (1 + p) |w|
-            log1p_err = 2.0 * _gamma(2) * float(m * r2 + (1 + p) * abs(wq))
-        else:
-            z = w / (1.0 + w) if rho > 0 else -w
-            log1p_err = 2.0 * _gamma(2) * min(abs(w), 1.0) * (2.0 * m / abs(rho) + 1 + p)
-    t = s = 1.0
-    scale = 0  # the sum is s 2^scale; exact power-of-two steps keep s in [1/2, 1)
-    for j in range(1, a):
+    """P (1 - Q) and its bound in floats, or None where b <= 0 or Q > 1/2; rho = 0 is b = inf."""
+    n, d = abs(geom.rho).as_integer_ratio()
+    top = 2 * m * d + n * (-1 if geom.rho < 0 else 1 - p)  # |rho| b d, an exact integer
+    if top <= 0:
+        return None
+    num = math.factorial(p) << (p + 1) * d.bit_length()  # p! (2d)^a, d being a power of two
+    den = math.prod(accumulate(repeat(n, p), initial=top))  # top + n k for k < a
+    w = _half_rho_r2(geom, radius)
+    u = max(w, 0.0)  # u, or 0 where rho <= 0
+    pieces = [m * log_bundle_weight(geom, radius), 0.5 * log_metric_density(geom, radius),
+              p * math.log1p(u)]
+    b = top / n if top >> 1022 < n else None
+    z = (abs(w) if b is not None else top / (2 * d) * (radius * radius)) / (1.0 + u)  # y or b y
+    t, s, scale = 1.0, 1.0, 0  # the sum is s 2^scale; power-of-two steps keep s in [1/2, 1)
+    for j in range(1, p + 1):
         t *= z / j if b is None else (b + j - 1) * z / j
         s, e = math.frexp(s + t)
         t, scale = math.ldexp(t, -e), scale + e
@@ -120,19 +107,21 @@ def _complement(geom: ModelGeometry, m: int, p: int, radius: float) -> tuple[flo
     log_q = math.fsum(pieces) + log_s
     if log_q > -LN2:
         return None
-    # log Q: the boundary log, the sum at perturbed arguments (its log moves
-    # by at most p times their relative error), its 5p + 2 roundings, the rest
+    # log Q: the boundary log; log(1 + w) moved by the rounding of w (or of the exact
+    # 1 + w near the disk's edge), times (2m/|rho| + 1 + p) min(|w|, 1) = (m R^2 +
+    # (1 + p) |w|) / max(|w|, 1); the sum at arguments perturbed within gamma_7 by
+    # the roundings of b, or of x and each factor's (j - 1)/b, its log by p times
+    # that; its 5p + 2 roundings; the rest
     log_err = (
-        _gamma(6) * (math.fsum(map(abs, pieces)) + abs(log_s) + abs(log_q))
-        + log1p_err
-        + p * arg_err
-        + _gamma(5 * p + 2)
+        G6 * (math.fsum(map(abs, pieces)) + abs(log_s) + abs(log_q))
+        + 2.0 * G2 * (m * (radius * radius) + (1 + p) * abs(w)) / max(abs(w), 1.0)
+        + p * G7 + _gamma(5 * p + 2)
     )
     q_hi = math.exp(log_q + log_err)
-    rel = q_hi / (1.0 - q_hi) * log_err + _gamma(2)  # of 1 - Q, with expm1's rounding
+    rel = q_hi / (1.0 - q_hi) * log_err + G2  # of 1 - Q, with expm1's rounding
     qn, qd = (-math.expm1(log_q)).as_integer_ratio()
     value = (num * qn) / (den * qd)  # P is exact, so this is the one rounding
-    return value, value * (rel + U) * (1.0 + rel) * (1.0 + _gamma(8)) + TINY
+    return value, value * (rel + U) * (1.0 + rel) * (1.0 + G8) + TINY
 
 
 def _dec(q) -> Decimal:
@@ -143,13 +132,17 @@ def _dec(q) -> Decimal:
 def _log(q: Fraction) -> Decimal:
     """log q for rational 0 < q < 1, within UD |log q|.
 
-    With 1 - q >= 10^-k, k digits more than DEC's keep the rounding of q,
-    which moves log q by under 10^-(49+k) / 2, below UD |log q| / 2 since
-    |log q| >= 1 - q; ln rounds correctly.
+    Below 1 - q = 10^-50 it is -(1 - q), rounded once (UD/2): log(1 - g) =
+    -g (1 + g/2 + ...) is within a relative g/2 < UD/2 of -g.  Above, with
+    1 - q >= 10^-k, k digits more than DEC's keep the rounding of q, which
+    moves log q by under 10^-(49+k) / 2, below UD |log q| / 2 since |log q|
+    >= 1 - q; ln rounds correctly.
     """
     gap = 1 - q
     k = (gap.denominator.bit_length() - gap.numerator.bit_length() + 1) * 30103 // 100000 + 1
     with decimal.localcontext(DEC) as ctx:
+        if gap * 10**50 < 1:
+            return -_dec(gap)
         ctx.prec += k
         return (Decimal(q.numerator) / q.denominator).ln()
 

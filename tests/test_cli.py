@@ -477,7 +477,7 @@ def test_moments_rows_hold_their_error_bars(rho, m, max_degree):
         assert abs(mpmath.mpf(value) - exact) <= mpmath.mpf(abs_err), (p, value, abs_err)
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(
     st.floats(allow_nan=False, allow_infinity=False),
     st.integers(min_value=2, max_value=10**12),
@@ -486,6 +486,7 @@ def test_moments_rows_hold_their_error_bars(rho, m, max_degree):
 )
 @example(1e-320, 100, 0, 1e100)  # 2m/|rho| overflows and m R^2 = 1e202
 @example(-5e-324, 10**12, 3, 1e161)  # m R^2 overflows
+@example(-2.0, 100, 3, 1e-300)  # 1 - y cancels 600 digits in the lower series
 def test_moments_exits_0_with_finite_rows_or_2_with_one_line(rho, m, max_degree, radius):
     out, err = io.StringIO(), io.StringIO()
     argv = ["moments", f"--rho={rho!r}", "--m", str(m), "--max-degree", str(max_degree),

@@ -219,6 +219,22 @@ def test_moment_at_tiny_rho_matches_mpmath(rho):
                 assert got.abs_err <= 1e-12 * got.value, (m, p, radius, got)
 
 
+@pytest.mark.parametrize("m", [2, 100, 10**6, 10**12])
+def test_flat_limit_is_continuous(m):
+    # rho -> 0 is b = 2m/|rho| -> infinity: the tiny rhos, whose b is beyond
+    # the doubles, give the rho = 0 value bit for bit; the moment itself moves
+    # with rho by a relative O(p^2 |rho| / m), far below abs_err
+    for p in (0, 3, 10):
+        for x in (0.5, 5.0, 50.0, 500.0):
+            radius = math.sqrt(x / m)
+            exact = exact_moment(0.0, m, p, radius)
+            flat = lambda_inv_sq(FLAT, m, p, radius).value
+            for rho in (0.0, 5e-324, -5e-324, 1e-320, -1e-320):
+                got = lambda_inv_sq(ModelGeometry(rho), m, p, radius)
+                assert got.value == flat, (rho, p, x, got, flat)
+                assert abs(mpmath.mpf(got.value) - exact) <= got.abs_err, (rho, p, x, got)
+
+
 def fuzz_inputs(seed, count):
     """Seeded (rho, m, p, radius) over the CLI's range of tiny to large |rho|.
 
