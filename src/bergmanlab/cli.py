@@ -102,15 +102,11 @@ def _suite_ode_residuals(args, rng) -> tuple[str, str]:
 
 def _suite_eta_bounds(args, rng) -> tuple[str, str]:
     profile = cutoff.get_profile(args.eta)
-    max_d1 = max_d2 = 0.0
-    neg_slope_ok = True
-    for i in range(10_000):
-        t = 1.2 * (i + 0.5) / 10_000
-        d1 = profile.eta_d1(t)
-        neg_slope_ok = neg_slope_ok and -d1 >= -1e-9
-        max_d1 = max(max_d1, -d1)
-        max_d2 = max(max_d2, abs(profile.eta_d2(t)))
-    if not neg_slope_ok or max_d1 > 4.0 + 1e-9:
+    ts = [1.2 * (i + 0.5) / 10_000 for i in range(10_000)]
+    d1 = list(map(profile.eta_d1, ts))
+    max_d1 = max(0.0, -min(d1))
+    max_d2 = max(0.0, max(map(abs, map(profile.eta_d2, ts))))
+    if max(d1) > 1e-9 or max_d1 > 4.0 + 1e-9:
         return ("FAIL", f"slope bound violated (max -eta' = {max_d1:.3f})")
     if max_d2 > 8.0 + 1e-9:
         if max_d2 <= profile.d2_bound + 1e-9:
@@ -218,7 +214,14 @@ def cmd_moments(args: argparse.Namespace) -> int:
     geom = geometry.ModelGeometry(args.rho)
     radius = args.radius if args.radius is not None else quadrature.truncation_radius(args.m)
     # z^p zbar^q moments vanish for p != q by symmetry; all rows are computed before any output
-    rows = [quadrature.lambda_inv_sq(geom, args.m, p, radius) for p in range(args.max_degree + 1)]
+    try:
+        rows = [quadrature.lambda_inv_sq(geom, args.m, p, radius)
+                for p in range(args.max_degree + 1)]
+    except ValueError as exc:
+        if args.radius is not None:
+            raise
+        raise ValueError(f"the default radius log(m)/sqrt(m) at m={args.m}, rho={args.rho!r}: "
+                         f"{exc}") from None
     print("p,value,abs_err", *(f"{p},{r.value!r},{r.abs_err!r}" for p, r in enumerate(rows)),
           sep="\n")
     return EXIT_OK

@@ -13,6 +13,7 @@ import pytest
 from exact_moments import exact_moment
 from hypothesis import example, given, settings, strategies as st
 
+from bergmanlab import cli
 from bergmanlab.cli import build_parser, main
 from bergmanlab.density import remainder_envelope
 
@@ -274,6 +275,12 @@ HUGE_M = f"m={HUGE} exceeds the largest double 1.7976931348623157e+308"
         (["sweep", "--rho", "0", "--m-list", "5"], "m must be >= 10"),
         (["moments", "--rho", "0", "--m", "100", "--radius", "1e200"],
          "radius 1e+200 too large for m=100 at rho=0.0"),
+        (["moments", "--rho", "-8", "--m", "10"],
+         "the default radius log(m)/sqrt(m) at m=10, rho=-8.0: "
+         "radius 0.7281413400211801 outside (0, 0.5)"),
+        (["moments", "--rho", "1e308", "--m", "100"],
+         "the default radius log(m)/sqrt(m) at m=100, rho=1e+308: "
+         "radius 0.46051701859880917 too large for m=100 at rho=1e+308"),
         (["sweep", "--rho", "0", "--m-range", "10:1000", "--points", "0"],
          "--points must be >= 1"),
         (["sweep", "--rho", "0", "--m-range", "10:1000", "--points", "-1"],
@@ -296,6 +303,8 @@ HUGE_M = f"m={HUGE} exceeds the largest double 1.7976931348623157e+308"
         "m-range-end-rounds-past-double",
         "sweep-m-below-10",
         "moments-radius-too-large",
+        "moments-default-radius-outside-disk",
+        "moments-default-radius-too-large",
         "points-0",
         "points-negative",
     ],
@@ -418,6 +427,36 @@ def test_verify_smooth_profile_flagged_not_failed(capsys):
     code, stdout, _ = run(["verify", "--eta", "smooth"], capsys)
     assert code == 0
     assert "FLAG eta_bounds" in stdout
+
+
+class StubProfile:
+    name = "stub"
+    d2_bound = 24.0
+
+    def __init__(self, d1, d2):
+        self.eta_d1, self.eta_d2 = d1, d2
+
+
+@pytest.mark.parametrize(
+    "d1, d2, outcome",
+    [
+        # the slope turns positive past t = 1
+        (lambda t: 1e-6 if t > 1.0 else -1.0, lambda t: 0.0,
+         ("FAIL", "slope bound violated (max -eta' = 1.000)")),
+        (lambda t: -5.0, lambda t: 0.0, ("FAIL", "slope bound violated (max -eta' = 5.000)")),
+        (lambda t: -1.0, lambda t: -30.0 if t > 0.6 else 1.0,
+         ("FAIL", "|eta''| = 30.000 exceeds documented bound")),
+        (lambda t: -1.0, lambda t: 12.0,
+         ("FLAG", "profile stub: |eta''| <= 12.0 (documented 24-bound variant)")),
+        # a slope of 1e-9 is within the tolerance; an all-positive slope reads max -eta' = 0
+        (lambda t: 1e-9, lambda t: -8.0,
+         ("PASS", "max -eta' = 0.000 <= 4, max |eta''| = 8.000 <= 8")),
+    ],
+    ids=["positive-slope", "steep-slope", "d2-beyond-bound", "d2-within-bound", "edge"],
+)
+def test_eta_bounds_outcomes(d1, d2, outcome, monkeypatch):
+    monkeypatch.setattr(cli.cutoff, "get_profile", lambda name: StubProfile(d1, d2))
+    assert cli._suite_eta_bounds(argparse.Namespace(eta="stub"), None) == outcome
 
 
 def test_cp1_command(capsys):

@@ -10,6 +10,7 @@ from bergmanlab.gram import (
     BorderedGram,
     assemble_truncated_gram,
     inverse00_oracle,
+    max_route_deviation,
     orthonormalize_i00,
     schur_i00,
 )
@@ -146,3 +147,38 @@ def test_zero_budget_truncated_gram_is_exactly_one():
     value, (lo, hi) = schur_i00(G)
     assert value == 1.0
     assert (lo, hi) == (1.0, 1.0)
+
+
+def test_stacked_routes_match_per_matrix_calls():
+    # numpy's stacked linalg runs the same LAPACK routine once per matrix
+    rng = np.random.default_rng(5)
+    for k in range(2, 13):
+        singles = [random_pd(rng, k) for _ in range(6)]
+        G = BorderedGram(entries=np.array([S.entries for S in singles]))
+        assert G.dim == k
+        assert inverse00_oracle(G).tolist() == [inverse00_oracle(S) for S in singles]
+        assert orthonormalize_i00(G).tolist() == [orthonormalize_i00(S) for S in singles]
+
+
+def per_matrix_route_deviation(seed, count):
+    """max_route_deviation with each reference route called on one matrix at a time."""
+    rng, worst = np.random.default_rng(seed), 0.0
+    for _ in range(count):
+        k = int(rng.integers(2, 13))
+        b = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
+        F = b @ b.conj().T + 0.5 * k * np.eye(k)
+        G = BorderedGram(entries=0.5 * (F + F.conj().T))
+        e0 = np.zeros(k, dtype=complex)
+        e0[0] = 1.0
+        v = (
+            schur_i00(G)[0],
+            float(np.linalg.solve(G.entries, e0)[0].real),
+            float(np.sum(np.abs(np.linalg.solve(np.linalg.cholesky(G.entries), e0)) ** 2)),
+        )
+        worst = max(worst, (max(v) - min(v)) / max(map(abs, v)))
+    return worst
+
+
+@pytest.mark.parametrize("seed", [0, 7, 42])
+def test_route_deviation_matches_per_matrix_loop(seed):
+    assert max_route_deviation(seed, 200) == per_matrix_route_deviation(seed, 200)
