@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import random
 import re
@@ -227,6 +228,7 @@ def cmd_moments(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@functools.cache  # built once per process, on the first call of main
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bergmanlab",

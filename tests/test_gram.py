@@ -112,10 +112,13 @@ def test_three_routes_agree(seed, dim):
 
 
 def test_non_pd_rejected():
-    G = BorderedGram(entries=np.array([[1.0, 2.0], [2.0, 1.0]], dtype=complex))
-    for fn in (schur_i00, inverse00_oracle, orthonormalize_i00):
-        with pytest.raises(np.linalg.LinAlgError):
-            fn(G)
+    bad = np.array([[1.0, 2.0], [2.0, 1.0]], dtype=complex)
+    # alone, and as one matrix of a stack whose others are positive definite
+    stack = np.array([np.eye(2), bad, 2.0 * np.eye(2)])
+    for G in (BorderedGram(entries=bad), BorderedGram(entries=stack)):
+        for fn in (schur_i00, inverse00_oracle, orthonormalize_i00):
+            with pytest.raises(np.linalg.LinAlgError):
+                fn(G)
 
 
 def test_budget_monotonicity():
@@ -154,10 +157,19 @@ def test_stacked_routes_match_per_matrix_calls():
     rng = np.random.default_rng(5)
     for k in range(2, 13):
         singles = [random_pd(rng, k) for _ in range(6)]
-        G = BorderedGram(entries=np.array([S.entries for S in singles]))
+        for S in singles:
+            S.budgets = rng.uniform(0.0, 1e-3, size=(k, k))
+        G = BorderedGram(
+            entries=np.array([S.entries for S in singles]),
+            budgets=np.array([S.budgets for S in singles]),
+        )
         assert G.dim == k
-        assert inverse00_oracle(G).tolist() == [inverse00_oracle(S) for S in singles]
-        assert orthonormalize_i00(G).tolist() == [orthonormalize_i00(S) for S in singles]
+        value, (lo, hi) = schur_i00(G)
+        per_matrix = [schur_i00(S) for S in singles]
+        assert value == [v for v, _ in per_matrix]
+        assert list(zip(lo, hi)) == [interval for _, interval in per_matrix]
+        assert inverse00_oracle(G) == [inverse00_oracle(S) for S in singles]
+        assert orthonormalize_i00(G) == [orthonormalize_i00(S) for S in singles]
 
 
 def per_matrix_route_deviation(seed, count):

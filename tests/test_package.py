@@ -9,6 +9,7 @@ import sys
 from contextlib import redirect_stdout
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import bergmanlab
@@ -73,6 +74,14 @@ def test_benchmark_tracer_hooks_fit_the_package():
             assert cli.main(["sweep", "--rho", "-0.7", "--m-list", "100,1000"]) == 0
     finally:
         tracer.restore()
-    assert tracer.calls["gram.schur"] == 200
+    # verify --seed 0 draws 200 matrices, per matrix k then two k x k normals,
+    # and runs each of the three routes once per distinct k
+    rng, sizes = np.random.default_rng(0), set()
+    for _ in range(200):
+        k = int(rng.integers(2, 13))
+        sizes.add(k)
+        rng.normal(size=(k, k)), rng.normal(size=(k, k))
+    assert tracer.calls["gram.schur"] == len(sizes)
+    assert tracer.calls["gram.reference_routes"] == 2 * len(sizes)
     assert tracer.calls["density.estimate"] == 2
     assert 2 <= tracer.dim_max <= 12
