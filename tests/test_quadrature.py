@@ -70,27 +70,28 @@ def test_matches_mpmath_on_cli_domain(rho):
 
 
 def cli_domain_csv():
-    """rho,m,p,radius,value for the grid above, value "refused" where the moment raises.
+    """rho,m,p,radius,value,abs_err for the grid above, both "refused" where the moment raises.
 
     tests/data/moments_cli_domain.csv holds this text; regenerate it with
     `PYTHONPATH=src python tests/test_quadrature.py > tests/data/moments_cli_domain.csv`.
     """
-    lines = ["rho,m,p,radius,value"]
+    lines = ["rho,m,p,radius,value,abs_err"]
     for rho in CLI_RHOS:
         geom = ModelGeometry(rho)
         for m in CLI_MS:
             for p in CLI_PS:
                 for radius in grid_radii(rho):
                     try:
-                        value = repr(lambda_inv_sq(geom, m, p, radius).value)
+                        got = lambda_inv_sq(geom, m, p, radius)
+                        value = f"{got.value!r},{got.abs_err!r}"
                     except ValueError:
-                        value = "refused"
+                        value = "refused,refused"
                     lines.append(f"{rho!r},{m},{p},{radius!r},{value}")
     return "\n".join(lines) + "\n"
 
 
 def test_cli_domain_values_match_golden():
-    # bit identity pins the values through changes to the moment routes; abs_err is not pinned
+    # bit identity pins the values and their bounds through changes to the moment routes
     assert cli_domain_csv() == (DATA / "moments_cli_domain.csv").read_text()
 
 
