@@ -87,8 +87,6 @@ def mixed_derivative(f, x: float, y: float, h: float) -> float:
 
 def curvature_residual(geom: ModelGeometry, z: complex, h: float) -> float:
     """Finite-difference residual of g^-1 d^2(log g)/dz dzbar + rho, O(h^2) for the model."""
-    if h <= 0:
-        raise ValueError("step must be positive")
     ddbar = mixed_derivative(
         lambda x, y: log_metric_density(geom, math.hypot(x, y)), z.real, z.imag, h
     )
@@ -97,10 +95,6 @@ def curvature_residual(geom: ModelGeometry, z: complex, h: float) -> float:
 
 def polar_ode_residual(geom: ModelGeometry, r: float, h: float) -> float:
     """Finite-difference residual of g'' + g'/r - (g')^2/g + 4 rho g^2."""
-    if h <= 0:
-        raise ValueError("step must be positive")
-    if r - h <= 0:
-        raise ValueError("stencil crosses r = 0")
     gm, g0, gp = (metric_density(geom, r + d) for d in (-h, 0.0, h))
     d1 = (gp - gm) / (2.0 * h)
     d2 = (gp - 2.0 * g0 + gm) / (h * h)

@@ -5,30 +5,32 @@ Angular integrals are done analytically (2 pi delta_{alpha beta} under
 a = p + 1 this is gamma(a, x) / m^a for rho = 0, x = m R^2, and c^a B(y; a, b)
 for rho != 0, c = 2/|rho|, with y = |rho| R^2 / 2, b = 2m/|rho| - 1 for
 rho < 0 and y = u/(1+u), u = rho R^2 / 2, b = 2m/rho + 1 - p for rho > 0
-(DLMF 8.4, 8.17).  Two routes sum positive terms:
+(DLMF 8.4, 8.17).  lambda_inv_sq forms the exact integers n/d = |rho| and
+top = n b once and picks the route; both sum positive terms:
 
-* complement, where b > 0 and Q <= 1/2, in floating point: P (1 - Q) with
+* complement, where top > 0 and Q <= 1/2, in floating point: P (1 - Q) with
   P = p!/m^a or c^a p!/(b)_a exact and Q = e^-x sum_{k<=p} x^k/k! or
   (1-y)^b sum_{j<=p} (b)_j y^j/j!, taking 1 - Q as -expm1(log Q) and the
   boundary factor from the geometry, m log a(R) + log g(R)/2 (+ p log(1+u));
+  P's integers are formed only once Q <= 1/2 has chosen this route;
 * lower series (DLMF 8.5.1, 8.17.8) elsewhere, in 50-digit decimals from the
-  exact rational inputs: x^a e^-x/a sum x^n/(a+1)_n or
-  y^a (1-y)^b/a sum (a+b)_n/(a+1)_n y^n, with log(1-y) carried to the digits
-  that 1 - y cancels at tiny y.  Beyond y = 1 - h, h = min(1/2, 8/a),
-  it stops at 1 - h and adds the finite binomial expansion of (1-s)^p over
-  [1-y, h] (a log term at b + k = 0), whose alternating sum loses at most
-  ((1+h)/(1-h))^p <= e^32 of the 50 digits.
+  exact rational c y = R^2/(1+max(u, 0)), y = (n/2d) c y and x = b z,
+  z = min(y, 1 - h), h = min(1/2, 8/a): (c z)^a (1-z)^b/a sum_n t_n, t_0 = 1,
+  t_n = t_{n-1} (x + (a + n - 1) z) / (a + n), with log(1-z) carried to the
+  digits that 1 - z cancels at tiny z.  Beyond y = 1 - h it adds the finite
+  binomial expansion of (1-s)^p over [1-y, h] (a log term at b + k = 0),
+  whose alternating sum loses at most ((1+h)/(1-h))^p <= e^32 of the 50 digits.
 
-rho = 0 is b = infinity: at fixed x = b y, c^a B(y; a, b) tends to
-gamma(a, x) / m^a as b grows (DLMF 8.17, 8.2).  From b = 2^1022 on, each
-factor (b + j - 1) y / j of Q's sum is b y / j to within a relative (j - 1)/b
-< p 2^-1022, far below 2^-53, so the complement sums x^j/j! at x = b y =
-b |rho| R^2 / 2 / (1 + max(u, 0)) in floats; at rho = 0, x = m R^2 and P = p!/m^a.
-The lower series is reached there only where Q > 1/2, which takes x below
-about p + 1 (Q is then a Poisson distribution function of mean x, whose
-median is above x - log 2).  Its ratio (a + b + n - 1) y / (a + n) =
-(x + (a + n - 1) y) / (a + n) is then below 1 from the first term, so no
-stretch of growing terms precedes its tail bound.
+rho = 0 is b = infinity in both routes: at fixed x = b y, c^a B(y; a, b)
+tends to gamma(a, x) / m^a as b grows (DLMF 8.17, 8.2).  From b = 2^1022 on,
+each factor (b + j - 1) y / j of Q's sum is b y / j to within a relative
+(j - 1)/b < p 2^-1022, far below 2^-53, so the complement sums x^j/j! at
+x = b y = b |rho| R^2 / 2 / (1 + max(u, 0)) in floats; at rho = 0, x = m R^2
+and P = p!/m^a.  The lower series takes z = y = 0 there, c z = c y = R^2 and
+(1 - z)^b = e^-x, and is reached only where Q > 1/2, which takes x below about
+p + 1 (Q is then a Poisson distribution function of mean x, whose median is
+above x - log 2).  Its ratio (x + (a + n - 1) z) / (a + n) is then below 1
+from the first term, so no stretch of growing terms precedes its tail bound.
 
 abs_err is a proven bound: Higham's gamma_n = n u / (1 - n u), u = 2^-53,
 over the float roundings done (exp, log, log1p, expm1 within one ulp), or
@@ -84,14 +86,9 @@ def _gamma(n: float) -> float:
 G2, G6, G7, G8 = map(_gamma, (2, 6, 7, 8))  # the gamma_n that every complement takes
 
 
-def _complement(geom: ModelGeometry, m: int, p: int, radius: float) -> tuple[float, float] | None:
-    """P (1 - Q) and its bound in floats, or None where b <= 0 or Q > 1/2; rho = 0 is b = inf."""
-    n, d = abs(geom.rho).as_integer_ratio()
-    top = 2 * m * d + n * (-1 if geom.rho < 0 else 1 - p)  # |rho| b d, an exact integer
-    if top <= 0:
-        return None
-    num = math.factorial(p) << (p + 1) * d.bit_length()  # p! (2d)^a, d being a power of two
-    den = math.prod(accumulate(repeat(n, p), initial=top))  # top + n k for k < a
+def _complement(geom: ModelGeometry, m: int, p: int, radius: float,
+                n: int, d: int, top: int) -> tuple[float, float] | None:
+    """P (1 - Q) and its bound in floats, or None where Q > 1/2; n/d = |rho|, top = n b > 0."""
     w = _half_rho_r2(geom, radius)
     u = max(w, 0.0)  # u, or 0 where rho <= 0
     pieces = [m * log_bundle_weight(geom, radius), 0.5 * log_metric_density(geom, radius),
@@ -120,6 +117,8 @@ def _complement(geom: ModelGeometry, m: int, p: int, radius: float) -> tuple[flo
     q_hi = math.exp(log_q + log_err)
     rel = q_hi / (1.0 - q_hi) * log_err + G2  # of 1 - Q, with expm1's rounding
     qn, qd = (-math.expm1(log_q)).as_integer_ratio()
+    num = math.factorial(p) << (p + 1) * d.bit_length()  # p! (2d)^a, d being a power of two
+    den = math.prod(accumulate(repeat(n, p), initial=top))  # top + n k for k < a
     value = (num * qn) / (den * qd)  # P is exact, so this is the one rounding
     return value, value * (rel + U) * (1.0 + rel) * (1.0 + G8) + TINY
 
@@ -147,20 +146,19 @@ def _log(q: Fraction) -> Decimal:
         return (Decimal(q.numerator) / q.denominator).ln()
 
 
-def _lower_series(a: int, ab: Decimal | None, z: Decimal) -> tuple[Decimal, int, Decimal]:
-    """sum_n (ab)_n z^n / (a+1)_n (sum_n z^n / (a+1)_n if ab is None), terms, tail bound.
+def _lower_series(a: int, x: Decimal, z: Decimal) -> tuple[Decimal, int, Decimal]:
+    """sum_n (a+b)_n z^n / (a+1)_n at x = b z (sum_n x^n / (a+1)_n at z = 0), terms, tail bound.
 
-    The ratio (ab + n - 1) z / (a + n) moves monotonically to z (z / (a + n)
-    to 0), so later ratios are at most q = max(next ratio, limit) and the tail
-    after term t is at most t q / (1 - q).
+    The ratio (x + (a + n - 1) z) / (a + n) moves monotonically to z, so later
+    ratios are at most q = max(next ratio, z) and the tail after term t is at
+    most t q / (1 - q).
     """
-    limit = Decimal(0) if ab is None else z
     t = s = Decimal(1)
     n = 0
     while True:
         n += 1
-        ratio = (z if ab is None else (ab + (n - 1)) * z) / (a + n)
-        q = max(ratio, limit)
+        ratio = (x + (a + n - 1) * z) / (a + n)
+        q = max(ratio, z)
         if q < 1 and t * q / (1 - q) <= SERIES_TOL * s:
             return s, n, t * q / (1 - q)
         t *= ratio
@@ -191,31 +189,28 @@ def _binomial_piece(p: int, b: Fraction, lo: Fraction, h: Fraction) -> tuple[Dec
     return total, UD * weight * magnitude
 
 
-def _series(rho: float, m: int, p: int, radius: float) -> tuple[float, float]:
-    """The lower series, and beyond 1 - h the binomial piece, in decimal arithmetic."""
+def _series(rho: float, p: int, radius: float, n: int, d: int, top: int) -> tuple[float, float]:
+    """Lower series, and beyond 1 - h the binomial piece, in decimals; n/d = |rho|, top = n b."""
     a = p + 1
     r2 = Fraction(radius) ** 2
+    cy = r2 / (1 + max(Fraction(rho), 0) * r2 / 2)  # c y = R^2 / (1 + u)
+    y = n * cy / (2 * d)
+    h = min(Fraction(1, 2), Fraction(8, a))
+    z = min(y, 1 - h)
+    cz = cy if z == y else 2 * d * z / n  # c z; z < y only where n > 0
+    x = top * cz / (2 * d)  # b z, m R^2 at rho = 0
     with decimal.localcontext(DEC):
-        if rho == 0.0:
-            z = _dec(m * r2)
-            ab, cz, log_boundary, amplified = None, _dec(r2), -z, z
-        else:
-            sig = abs(Fraction(rho))
-            w = Fraction(rho) * r2 / 2
-            b = 2 * m / sig + (-1 if rho < 0 else 1 - p)
-            y, lo = (-w, 1 + w) if rho < 0 else (w / (1 + w), 1 / (1 + w))
-            h = min(Fraction(1, 2), Fraction(8, a))
-            zf, zc = (y, lo) if y <= 1 - h else (1 - h, h)
-            z, ab, cz, log_boundary = _dec(zf), _dec(a + b), _dec(2 * zf / sig), _dec(b) * _log(zc)
-            amplified = 4 * abs(log_boundary)  # b, log zc and their product round by UD each
-        s, terms, tail = _lower_series(a, ab, z)
-        scale = cz**a * log_boundary.exp() / a  # c^a z^a (1-z)^b / a, or R^2a e^-x / a
+        xd = _dec(x)
+        # b log(1 - z), whose b, log and product round by UD each; -x, rounded once, at b = inf
+        log_boundary, roundings = (_dec(Fraction(top, n)) * _log(1 - z), 4) if n else (-xd, 1)
+        s, terms, tail = _lower_series(a, xd, _dec(z))
+        scale = _dec(cz) ** a * log_boundary.exp() / a  # c^a z^a (1-z)^b / a, or R^2a e^-x / a
         exact = scale * s
         # the roundings in the sum and in c z, z, 1 - z, b, amplified by the powers
-        err = UD * (8 * terms + 20 + 2 * a + amplified) * exact + scale * tail
-        if rho != 0.0 and zf != y:
-            c_a = _dec(2 / sig) ** a
-            piece, piece_err = _binomial_piece(p, b, lo, h)
+        err = UD * (8 * terms + 20 + 2 * a + roundings * abs(log_boundary)) * exact + scale * tail
+        if z != y:
+            c_a = _dec(Fraction(2 * d, n)) ** a
+            piece, piece_err = _binomial_piece(p, Fraction(top, n), 1 - y, h)
             exact += c_a * piece
             err += c_a * piece_err + UD * exact
     num, den = exact.as_integer_ratio()
@@ -226,7 +221,7 @@ def _series(rho: float, m: int, p: int, radius: float) -> tuple[float, float]:
 def lambda_inv_sq(geom: ModelGeometry, m: int, p: int, radius: float) -> RadialMoment:
     """2 * integral_0^R r^(2p+1) a(r)^m g(r) dr in closed form.
 
-    The complement route where b > 0 and Q <= 1/2, the lower series
+    The complement route where top = n b > 0 and Q <= 1/2, the lower series
     elsewhere (see the module docstring); abs_err is a proven bound on
     |value - exact|.  A moment beyond the largest double raises ValueError.
     """
@@ -238,8 +233,11 @@ def lambda_inv_sq(geom: ModelGeometry, m: int, p: int, radius: float) -> RadialM
         raise ValueError(f"radius {radius!r} outside (0, {geom.max_radius!r})")
     if not math.isfinite(m * max(abs(geom.rho), 1.0) * radius * radius):  # x and u are doubles
         raise ValueError(f"radius {radius!r} too large for m={m} at rho={geom.rho!r}")
+    n, d = abs(geom.rho).as_integer_ratio()
+    top = 2 * m * d + n * (-1 if geom.rho < 0 else 1 - p)  # |rho| b d, an exact integer
     try:
-        result = _complement(geom, m, p, radius) or _series(geom.rho, m, p, radius)
+        result = (top > 0 and _complement(geom, m, p, radius, n, d, top)
+                  or _series(geom.rho, p, radius, n, d, top))
     except OverflowError:
         raise ValueError(
             f"moment at m={m}, p={p}, radius={radius!r} exceeds the double range"
@@ -267,8 +265,8 @@ def lambda0_log_tail(geom: ModelGeometry, m: int) -> float:
         x = 0.5 * rho / m * log_m * log_m
     if abs(x) < sys.float_info.min or not math.isfinite(2.0 * m / rho):  # rho = 0 stops at x
         return -log_m * log_m
-    if not x > -1.0:  # log1p's domain; the disk check above leaves only rounding here
-        raise ValueError(f"m={m} too small for the closed form at rho={rho}")
+    if not x > -1.0:  # x rounded past log1p's pole: log(1 + w) at R, 1 + w formed exactly
+        return (-1.0 - 2.0 * m / rho) * -0.5 * log_metric_density(geom, truncation_radius(m))
     return (-1.0 - 2.0 * m / rho) * math.log1p(x)
 
 

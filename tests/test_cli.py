@@ -6,6 +6,7 @@ import re
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import mpmath
@@ -429,6 +430,25 @@ def test_verify_smooth_profile_flagged_not_failed(capsys):
     assert "FLAG eta_bounds" in stdout
 
 
+def test_verify_failing_suite_exits_1_and_is_named(monkeypatch, capsys):
+    monkeypatch.setattr(cli.density, "cp1_density", lambda m, z: 0.0)
+    code, stdout, stderr = run(["verify"], capsys)
+    assert code == 1
+    lines = stdout.splitlines()
+    assert [line.split()[1] for line in lines] == [f"{name}:" for name, _ in cli._SUITES]
+    assert [line.split()[0] for line in lines] == ["PASS"] * 5 + ["FAIL"]
+    assert lines[-1] == "FAIL cp1_constancy: max rel dev from m+1: 1.000e+00 (tol 1e-9)"
+    assert stderr == "failing suites: cp1_constancy\n"
+
+
+def test_verify_reports_a_negative_hessian_margin(monkeypatch, capsys):
+    monkeypatch.setattr(cli.cutoff, "psi_hessian_bound_check", lambda *args: -1.0)
+    code, stdout, stderr = run(["verify"], capsys)
+    assert code == 1
+    assert "FAIL psi_hessian: margin -1.000e+00 at (m=1000, p'=2)\n" in stdout
+    assert stderr == "failing suites: psi_hessian\n"
+
+
 class StubProfile:
     name = "stub"
     d2_bound = 24.0
@@ -601,6 +621,16 @@ def test_sweep_outside_model_disk_exits_2_before_output(capsys):
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
     assert "m=10" in err and "rho=-8.0" in err
+
+
+def test_sweep_accepts_the_default_radius_that_moments_accepts(capsys):
+    # rho (log m)^2 / 2m rounds to -1 here, though R = log m / sqrt m is inside the disk
+    rho = "-12.187385258115526"
+    code, out, err = run(["sweep", "--rho", rho, "--m-list", "155"], capsys)
+    assert code == 0, err
+    assert run(["moments", "--rho", rho, "--m", "155"], capsys)[0] == 0
+    lo, hi = map(float, out.splitlines()[1].split(",")[3:5])
+    assert lo <= 155 + Fraction(rho) / 2 <= hi
 
 
 def test_invalid_rho_domain(capsys):

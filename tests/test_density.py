@@ -53,6 +53,26 @@ def test_density_estimate_flat():
     assert rep.lo <= rep.density <= rep.hi
 
 
+def test_tail_refused_exactly_where_the_truncation_disk_leaves_the_model_disk():
+    # rho within 6 ulps of -2m/(log m)^2, where x = rho (log m)^2 / 2m rounds
+    # near -1: wherever R = log m / sqrt m is inside the disk the tail is
+    # taken and the density interval holds m + rho/2; elsewhere it is refused
+    rng = random.Random(20)
+    for _ in range(3000):
+        m = rng.randint(10, 10**6)
+        rho = -2.0 * m / math.log(m) ** 2
+        steps = rng.randint(-6, 6)
+        for _ in range(abs(steps)):
+            rho = math.nextafter(rho, math.copysign(math.inf, steps))
+        geom = ModelGeometry(rho)
+        if truncation_radius(m) < geom.max_radius:
+            rep = density_estimate(geom, m, 0.0)
+            assert rep.lo <= m + Fraction(rho) / 2 <= rep.hi, (m, rho)
+        else:
+            with pytest.raises(ValueError, match="too small"):
+                lambda0_log_tail(geom, m)
+
+
 def test_density_estimate_references():
     assert density_estimate(ModelGeometry(2.0), 10**3, 0.0).reference == 1001.0
     assert density_estimate(ModelGeometry(-2.0), 10**2, 0.0).reference == 99.0
