@@ -44,7 +44,7 @@ def check_against_mpmath(geom, m, p, radius):
 
 CLI_RHOS = (-10.0, -2.0, -0.5, 0.0, 0.5, 2.0, 100.0)
 CLI_MS = (2, 3, 7, 100, 10**4, 10**8)
-CLI_PS = (0, 3, 40, 200)
+CLI_PS = (0, 3, 40, 200, 1000)
 
 
 @pytest.mark.parametrize("rho", CLI_RHOS)
