@@ -4,9 +4,8 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 import sys
-from dataclasses import asdict, dataclass
+from collections import namedtuple
 
 from .geometry import ModelGeometry
 # The benchmark tracer (bench/spans.py) wraps these two names on this module.
@@ -26,8 +25,9 @@ __all__ = [
     "CSV_HEADER",
 ]
 
-CSV_HEADER = "m,rho,density,lo,hi,reference,remainder"
-_CSV_FIELDS = operator.attrgetter(*CSV_HEADER.split(","))
+DensityReport = namedtuple("DensityReport", "m rho density lo hi reference remainder budget_c")
+SweepResult = namedtuple("SweepResult", "reports fitted_c decay_violations")
+CSV_HEADER = ",".join(DensityReport._fields[:7])  # a CSV row is a report's first 7 fields
 
 
 def expansion_reference(m: int, rho: float) -> float:
@@ -38,25 +38,6 @@ def expansion_reference(m: int, rho: float) -> float:
 def remainder_envelope(m: int) -> float:
     """The expansion's remainder envelope e^(-(log m)^2 / 8)."""
     return math.exp(-math.log(m) ** 2 / 8.0)
-
-
-@dataclass(frozen=True)
-class DensityReport:
-    m: int
-    rho: float
-    density: float
-    lo: float
-    hi: float
-    reference: float
-    remainder: float
-    budget_c: float
-
-
-@dataclass(frozen=True)
-class SweepResult:
-    reports: tuple[DensityReport, ...]
-    fitted_c: float
-    decay_violations: tuple[int, ...]
 
 
 # nextafter steps taking lo and hi past E = m + rho/2, one per rounding: float(m) above
@@ -254,7 +235,7 @@ def remainder_sweep(rho: float, m_list: list[int], budget_c: float) -> SweepResu
 
 def sweep_to_csv(result: SweepResult) -> str:
     lines = [CSV_HEADER]
-    lines.extend(",".join(map(repr, _CSV_FIELDS(rep))) for rep in result.reports)
+    lines.extend(",".join(map(repr, rep[:7])) for rep in result.reports)
     return "\n".join(lines) + "\n"
 
 
@@ -263,6 +244,6 @@ def sweep_to_json(result: SweepResult) -> str:
         # JSON has no infinity; "inf" matches the fitted_C = inf line of the sweep command
         "fitted_c": result.fitted_c if math.isfinite(result.fitted_c) else "inf",
         "decay_violations": list(result.decay_violations),
-        "reports": [asdict(rep) for rep in result.reports],
+        "reports": [rep._asdict() for rep in result.reports],
     }
     return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"

@@ -9,7 +9,6 @@ only valid on |z| < sqrt(2/|rho|); for rho >= 0 it is entire.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 __all__ = [
@@ -23,22 +22,17 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class ModelGeometry:
-    """The curvature parameter rho of the model."""
+    """The curvature parameter rho of the model and the radius of its disk."""
 
-    rho: float
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.rho):
+    def __init__(self, rho: float) -> None:
+        if not math.isfinite(rho):
             raise ValueError("curvature must be finite")
-
-    @property
-    def max_radius(self) -> float:
-        if self.rho >= 0:
-            return math.inf
-        c = -2.0 / self.rho  # overflows below |rho| = 2/DBL_MAX, so is then formed at rho 2^64
-        return math.sqrt(c) if c < math.inf else math.sqrt(-2.0 / (self.rho * 2.0**64)) * 2.0**32
+        self.rho, self.max_radius = rho, math.inf
+        if rho < 0:
+            c = -2.0 / rho  # overflows below |rho| = 2/DBL_MAX, so is then formed at rho 2^64
+            self.max_radius = (math.sqrt(c) if c < math.inf
+                               else math.sqrt(-2.0 / (rho * 2.0**64)) * 2.0**32)
 
     def require_inside(self, r: float) -> None:
         if r < 0 or not r < self.max_radius:

@@ -11,8 +11,6 @@ corrections are carried as error budgets on the two bordered rows and columns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
@@ -25,21 +23,13 @@ __all__ = [
 ]
 
 
-@dataclass
 class BorderedGram:
     """Hermitian k x k Gram matrix, or an (n, k, k) stack, with entry error budgets (default 0)."""
 
-    entries: np.ndarray
-    budgets: np.ndarray | None = None
-
-    def __post_init__(self) -> None:
-        self.entries = np.asarray(self.entries, dtype=complex)
-        if self.budgets is None:
-            self.budgets = np.zeros(self.entries.shape)
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[-1]
+    def __init__(self, entries: np.ndarray, budgets: np.ndarray | None = None) -> None:
+        self.entries = np.asarray(entries, dtype=complex)
+        self.budgets = np.zeros(self.entries.shape) if budgets is None else budgets
+        self.dim = self.entries.shape[-1]
 
 
 def assemble_truncated_gram(dim: int, scale: float) -> BorderedGram:
@@ -107,12 +97,12 @@ def max_route_deviation(seed: int, count: int) -> float:
     rng, by_dim = np.random.default_rng(seed), {}
     for _ in range(count):
         k = int(rng.integers(2, 13))
-        by_dim.setdefault(k, []).append(rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k)))
+        by_dim.setdefault(k, []).append(rng.normal(size=(2, k, k)))  # real and imaginary parts
     worst = 0.0
-    for k, bs in by_dim.items():
-        b = np.array(bs)
+    for k, draws in by_dim.items():
+        b = np.array([re + 1j * im for re, im in draws])
         F = b @ b.conj().mT + 0.5 * k * np.eye(k)
         G = BorderedGram(entries=0.5 * (F + F.conj().mT))
-        for v in zip(schur_i00(G)[0], inverse00_oracle(G), orthonormalize_i00(G)):
-            worst = max(worst, (max(v) - min(v)) / max(map(abs, v)))
+        v = np.array([schur_i00(G)[0], inverse00_oracle(G), orthonormalize_i00(G)])
+        worst = max(worst, float(np.max((v.max(0) - v.min(0)) / np.abs(v).max(0))))
     return worst

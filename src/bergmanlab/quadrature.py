@@ -12,7 +12,7 @@ top = n b once and picks the route; both sum positive terms:
   P = p!/m^a or c^a p!/(b)_a exact and Q = e^-x sum_{k<=p} x^k/k! or
   (1-y)^b sum_{j<=p} (b)_j y^j/j!, taking 1 - Q as -expm1(log Q) and the
   boundary factor from the geometry, m log a(R) + log g(R)/2 (+ p log(1+u));
-  P's integers are formed only once Q <= 1/2 has chosen this route;
+  Q's sum stops once it proves Q > 1/2, and P's integers wait for Q <= 1/2;
 * lower series (DLMF 8.5.1, 8.17.8) elsewhere, in 50-digit decimals from the
   exact rational c y = R^2/(1+max(u, 0)), y = (n/2d) c y and x = b z,
   z = min(y, 1 - h), h = min(1/2, 8/a): (c z)^a (1-z)^b/a sum_n t_n, t_0 = 1,
@@ -44,7 +44,7 @@ from __future__ import annotations
 import decimal
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from decimal import Decimal
 from fractions import Fraction
 from itertools import accumulate, repeat
@@ -68,10 +68,7 @@ UD = Decimal("1e-49")  # relative error of one DEC operation, rounded up from ha
 SERIES_TOL = Decimal("1e-20")  # the lower series stops when its tail bound is below this share
 
 
-@dataclass(frozen=True)
-class RadialMoment:
-    value: float
-    abs_err: float
+RadialMoment = namedtuple("RadialMoment", "value abs_err")
 
 
 def truncation_radius(m: int) -> float:
@@ -95,13 +92,20 @@ def _complement(geom: ModelGeometry, m: int, p: int, radius: float,
               p * math.log1p(u)]
     b = top / n if top >> 1022 < n else None
     z = (abs(w) if b is not None else top / (2 * d) * (radius * radius)) / (1.0 + u)  # y or b y
+    base = math.fsum(pieces)
+    # Q's partial sums only grow: were the computed log Q at most -log 2, no computed
+    # partial log would pass it by 6.1u |base| + 5.8u, so one past stop proves Q > 1/2;
+    # the first test, without log s <= 0, is a cheap necessary one.
+    stop = -LN2 + G8 * (abs(base) + 1.0)
     t, s, scale = 1.0, 1.0, 0  # the sum is s 2^scale; power-of-two steps keep s in [1/2, 1)
     for j in range(1, p + 1):
         t *= z / j if b is None else (b + j - 1) * z / j
         s, e = math.frexp(s + t)
         t, scale = math.ldexp(t, -e), scale + e
+        if base + scale * LN2 > -LN2 and base + math.log(s) + scale * LN2 > stop:
+            return None
     log_s = math.log(s) + scale * LN2
-    log_q = math.fsum(pieces) + log_s
+    log_q = base + log_s
     if log_q > -LN2:
         return None
     # log Q: the boundary log; log(1 + w) moved by the rounding of w (or of the exact

@@ -21,6 +21,20 @@ from bergmanlab.density import remainder_envelope
 DATA = Path(__file__).parent / "data"
 
 
+def captured(argv):
+    """Exit status, stdout and stderr of main(argv), captured without a pytest fixture."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_one_error_line(out, err):
+    """A refusal prints one line to stderr and nothing to stdout."""
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def run(argv, capsys):
     """Exit status and output of main(argv), whether it returns or argparse exits."""
     try:
@@ -547,21 +561,59 @@ def test_moments_rows_hold_their_error_bars(rho, m, max_degree):
 @example(-5e-324, 10**12, 3, 1e161)  # m R^2 overflows
 @example(-2.0, 100, 3, 1e-300)  # 1 - y cancels 600 digits in the lower series
 def test_moments_exits_0_with_finite_rows_or_2_with_one_line(rho, m, max_degree, radius):
-    out, err = io.StringIO(), io.StringIO()
-    argv = ["moments", f"--rho={rho!r}", "--m", str(m), "--max-degree", str(max_degree),
-            f"--radius={radius!r}"]
-    with redirect_stdout(out), redirect_stderr(err):
-        code = main(argv)
+    code, out, err = captured(["moments", f"--rho={rho!r}", "--m", str(m),
+                               "--max-degree", str(max_degree), f"--radius={radius!r}"])
     if code == 0:
-        lines = out.getvalue().split()
+        lines = out.split()
         assert lines[0] == "p,value,abs_err" and len(lines) == max_degree + 2
         for line in lines[1:]:
             _, value, abs_err = map(float, line.split(","))
             assert math.isfinite(value) and math.isfinite(abs_err) and abs_err >= 0.0, line
     else:
         assert code == 2
-        assert out.getvalue() == ""
-        assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1
+        assert_one_error_line(out, err)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    # up to m = 1e6 every window is small; from 1e20 on, every |z| in [6e-5, 1.7e4] is
+    # refused before any term is summed (and |z| is drawn from [0, 3])
+    st.one_of(st.integers(max_value=10**6), st.integers(min_value=10**20, max_value=10**400)),
+    st.integers(min_value=-1, max_value=5),
+    st.integers(),
+)
+@example(0, 1, 0)
+@example(10**6, 0, 0)
+@example(10**309, 1, 0)  # beyond the largest double
+def test_cp1_exits_0_with_finite_rows_or_2_with_one_line(m, samples, seed):
+    code, out, err = captured(["cp1", f"--m={m}", f"--samples={samples}", f"--seed={seed}"])
+    if code == 0:
+        lines = out.splitlines()
+        assert lines[0] == "z_re,z_im,density,deviation" and len(lines) == samples + 2
+        for line in lines[1:-1]:
+            assert all(math.isfinite(float(v)) for v in line.split(",")), line
+        assert lines[-1].startswith(f"closed form: {float(m + 1)!r}; max relative deviation: ")
+        assert err == ""
+    else:
+        assert code == 2
+        assert_one_error_line(out, err)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=-(2**64), max_value=2**70), st.sampled_from(["c1", "smooth"]))
+@example(-1, "c1")
+def test_verify_exits_0_or_1_with_six_lines_or_2_with_one_line(seed, eta):
+    code, out, err = captured(["verify", f"--seed={seed}", f"--eta={eta}"])
+    if code == 2:
+        assert_one_error_line(out, err)
+        return
+    lines = out.splitlines()
+    assert [line.split()[1] for line in lines] == [f"{name}:" for name, _ in cli._SUITES]
+    failing = [line.split()[1][:-1] for line in lines if line.startswith("FAIL ")]
+    if code == 0:
+        assert failing == [] and err == ""
+    else:
+        assert code == 1 and err == f"failing suites: {', '.join(failing)}\n"
 
 
 def test_gram_command_is_gone(capsys):

@@ -41,9 +41,9 @@ def test_light_modules_import_without_numpy():
     assert out.stdout == "False\n"
 
 
-def test_only_gram_imports_numpy():
-    # numpy serves gram's LAPACK routes alone; every other module is pure Python
-    importers = set()
+def importers(top: str) -> set:
+    """The package's module files that import top or one of its submodules."""
+    found = set()
     for path in Path(bergmanlab.__file__).parent.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, ast.Import):
@@ -52,9 +52,20 @@ def test_only_gram_imports_numpy():
                 names = [node.module]
             else:
                 continue
-            if any(name.split(".")[0] == "numpy" for name in names):
-                importers.add(path.name)
-    assert importers == {"gram.py"}
+            if any(name.split(".")[0] == top for name in names):
+                found.add(path.name)
+    return found
+
+
+def test_only_gram_imports_numpy():
+    # numpy serves gram's LAPACK routes alone; every other module is pure Python
+    assert importers("numpy") == {"gram.py"}
+
+
+def test_no_module_imports_dataclasses():
+    # records are namedtuples or plain classes: collections imports in a fraction
+    # of the time that dataclasses (and typing) take
+    assert importers("dataclasses") == set()
 
 
 def test_benchmark_tracer_hooks_fit_the_package():
