@@ -256,8 +256,9 @@ def build_parser() -> argparse.ArgumentParser:
         "cp1",
         help="exact sphere-model density check",
         description="Exact sphere-model density check against m + 1.  A sample sums a "
-        "window of about 18 sqrt(m p (1 - p)) terms, p = |z|^2 / (1 + |z|^2) taken <= 1/2; "
-        "a window above 1e7 terms (about 4 s) is refused, so every z is accepted up to "
+        "window of 2j + 1 <= 19 sqrt(m p (1 - p)) + 66 terms, p = |z|^2 / (1 + |z|^2) taken "
+        "<= 1/2, which Bernstein's inequality fixes so that it cuts at most 2^-64 of the sum; "
+        "a window above 1.04e7 terms (about 1.5 s) is refused, so every z is accepted up to "
         "m = 1.2e12.",
     )
     p_cp1.add_argument("--m", type=int, required=True)

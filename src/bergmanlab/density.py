@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import math
 import sys
 from collections import namedtuple
@@ -110,17 +109,27 @@ def cp1_density(m: int, z: complex) -> float:
 
     Error bound, u = 2^-53, sigma = sqrt(m p q): the k0 term is off by at most
     10u and each step adds at most 3u, so the result is within
-    (3 sigma + 14) u + 2^-63 of m + 1, relatively.  The window holds about
-    18 sigma <= 9 sqrt(m) terms, m = 1e12 takes seconds; a window predicted
-    above MAX_WINDOW terms (about 4 s) raises ValueError.
+    (3 sigma + 14) u + 2^-64 of m + 1, relatively.  The window is k0 +- j,
+    clipped at k = 0 and k = m, with j = int(L/3 + sqrt(L^2/9 + 2 L sigma^2)) + 2
+    and L = 65 log 2.  Bernstein's inequality bounds the Binomial mass at
+    distance x or more from m p, on each side, by exp(-x^2 / (2 (sigma^2 + x/3))),
+    and j exceeds the x at which that is 2^-65 by more than 1, which covers
+    k0 - m p in (-1, 0] and the rounding of x; so each side cuts less than
+    2^-65 (m + 1).  The 2j + 1 <= 19 sigma + 66 terms are fixed before the walk
+    starts, and a window above MAX_WINDOW terms (about 1.5 s on a 2-core Intel
+    Xeon) raises ValueError.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     r = abs(z)
     s = (1.0 / r if r > 1.0 else r) ** 2
-    terms = 18.0 * math.sqrt(m * s) / (1.0 + s)  # the window, 18 sqrt(m p (1 - p))
-    if terms > MAX_WINDOW:
-        raise ValueError(f"{terms:.1e}-term window at m={m}, |z|={r!r} exceeds {MAX_WINDOW:.0e}")
+    var = m * s / (1.0 + s) ** 2  # sigma^2 = m p q
+    # sqrt(L) sqrt(L/9 + 2 sigma^2) is sqrt(L^2/9 + 2 L sigma^2), finite for every double m
+    j = int(_L / 3 + math.sqrt(_L) * math.sqrt(_L / 9 + 2 * var)) + 2
+    if 2 * j + 1 > MAX_WINDOW:
+        raise ValueError(
+            f"{2 * j + 1:.1e}-term window at m={m}, |z|={r!r} exceeds {MAX_WINDOW:.3g}"
+        )
     a, b = s.as_integer_ratio()  # s = a/b exactly, so p = a/(a+b) <= 1/2
     k0 = m * a // (a + b)
     if k0 == 0:
@@ -130,40 +139,29 @@ def cp1_density(m: int, z: complex) -> float:
         term = (m + 1) * math.sqrt(m / (k0 * (m - k0)) / math.tau) * math.exp(
             _stirlerr(m) - _stirlerr(k0) - _stirlerr(m - k0) - _bd0(k0, d) - _bd0(m - k0, -d)
         )
-    return math.fsum(_cp1_walk(m, s, k0, term))
+    return math.fsum(_cp1_walk(m, s, k0, term, j))
 
 
-MAX_WINDOW = 1e7  # terms, about 4 s; 9 sqrt(m) fits it up to m = 1.2e12
-
-# A side of the window stops once the mass beyond it is below this share of
-# the sum so far; the two sides then cut at most 2^-63, below u / 1000.
-_TAIL_SHARE = 2.0**-64
+# terms; the window at m = 1.2e12, |z| = 1 is 10_398_637, the most at any z up to that m
+MAX_WINDOW = 10_400_000
+_L = 65 * math.log(2)  # each side of the window cuts below 2^-65 of the sum
 
 
-def _cp1_walk(m: int, s: float, k0: int, term: float):
-    """Terms of cp1_density from the k0 term outward, each side cut by a tail bound.
+def _cp1_walk(m: int, s: float, k0: int, term: float, j: int):
+    """Terms of cp1_density from the k0 term outward, j steps each way within 0..m.
 
-    The ratio r of neighbouring terms falls monotonically away from the mode,
-    so the mass beyond a term t is at most the geometric series t r / (1 - r)
-    once r < 1.  Each ratio is one correctly rounded int / int division and
-    one product with s.
+    Each step multiplies by the ratio of neighbouring terms: one correctly
+    rounded int / int division and one product or quotient with s.
     """
     yield term
-    total = t = term
-    for k in range(k0, m):
-        r = s * ((m - k) / (k + 1))  # T_{k+1} / T_k
-        if r < 1.0 and t * r < (1.0 - r) * _TAIL_SHARE * total:
-            break
-        t *= r
-        total += t
+    up, down = min(j, m - k0), min(j, k0)
+    t = term
+    for num, den in zip(range(m - k0, m - k0 - up, -1), range(k0 + 1, k0 + up + 1)):
+        t *= s * (num / den)  # T_{k+1} / T_k = s (m - k) / (k + 1)
         yield t
     t = term
-    for k in range(k0, 0, -1):
-        r = (k / (m - k + 1)) / s  # T_{k-1} / T_k
-        if r < 1.0 and t * r < (1.0 - r) * _TAIL_SHARE * total:
-            break
-        t *= r
-        total += t
+    for num, den in zip(range(k0, k0 - down, -1), range(m - k0 + 1, m - k0 + down + 1)):
+        t *= (num / den) / s  # T_{k-1} / T_k = k / ((m - k + 1) s)
         yield t
 
 
@@ -240,6 +238,8 @@ def sweep_to_csv(result: SweepResult) -> str:
 
 
 def sweep_to_json(result: SweepResult) -> str:
+    import json  # only --format json needs it; importing json costs a cold start
+
     payload = {
         # JSON has no infinity; "inf" matches the fitted_C = inf line of the sweep command
         "fitted_c": result.fitted_c if math.isfinite(result.fitted_c) else "inf",

@@ -122,9 +122,23 @@ def _complement(geom: ModelGeometry, m: int, p: int, radius: float,
     rel = q_hi / (1.0 - q_hi) * log_err + G2  # of 1 - Q, with expm1's rounding
     qn, qd = (-math.expm1(log_q)).as_integer_ratio()
     num = math.factorial(p) << (p + 1) * d.bit_length()  # p! (2d)^a, d being a power of two
-    den = math.prod(accumulate(repeat(n, p), initial=top))  # top + n k for k < a
+    den = _rising_product(top, n, p + 1)  # top + n k for k < a
     value = (num * qn) / (den * qd)  # P is exact, so this is the one rounding
     return value, value * (rel + U) * (1.0 + rel) * (1.0 + G8) + TINY
+
+
+def _rising_product(top: int, n: int, count: int) -> int:
+    """top (top + n) ... (top + n (count - 1)), exactly.
+
+    math.prod takes one factor at a time, quadratic in the product's size; above
+    32 factors the two halves are formed first, so the large products are
+    balanced and CPython multiplies them by Karatsuba.  1531 factors of 1050
+    bits took 1.16 s one at a time and take 0.16 s so (2-core Intel Xeon).
+    """
+    if count <= 32:
+        return math.prod(accumulate(repeat(n, count - 1), initial=top))
+    half = count // 2
+    return _rising_product(top, n, half) * _rising_product(top + n * half, n, count - half)
 
 
 def _dec(q) -> Decimal:

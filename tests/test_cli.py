@@ -512,7 +512,7 @@ def test_cp1_refuses_window_beyond_limit_before_output(capsys):
     code, out, err = run(["cp1", "--m", "100000000000000000000", "--samples", "1"], capsys)
     assert code == 2
     assert out == ""
-    assert err.startswith("error: 6.1e+10-term window at m=100000000000000000000")
+    assert err.startswith("error: 6.5e+10-term window at m=100000000000000000000")
     assert err.count("\n") == 1
 
 

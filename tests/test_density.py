@@ -122,7 +122,7 @@ U = 2.0**-53
 
 
 def cp1_bound(m, z):
-    """cp1_density's stated relative error bound (3 sigma + 14) u + 2^-63."""
+    """cp1_density's relative error bound (3 sigma + 14) u + 2^-64, taken here with 2^-63."""
     r = abs(z)
     s = min(r, 1.0 / r) ** 2 if r else 0.0
     sigma = math.sqrt(m * s) / (1.0 + s)
@@ -170,8 +170,19 @@ def test_cp1_matches_mpmath_sum():
             assert abs(value - exact) <= cp1_bound(m, z) * exact, (m, z)
 
 
+def cp1_window(m, z, monkeypatch):
+    """The walk's arguments (m, s, k0, term, j) for cp1_density(m, z)."""
+    seen = []
+    with monkeypatch.context() as patch:
+        patch.setattr(density, "_cp1_walk", lambda *args: seen.append(args) or [1.0])
+        cp1_density(m, z)
+    return seen[0]
+
+
 def test_cp1_window_is_narrow(monkeypatch):
-    # the full sum at m = 1e6 would take 1_000_001 terms; the window is about 18 sigma
+    # the full sum at m = 1e6 would take 1_000_001 terms; the window is 2j + 1 = 8_797
+    m, z = 10**6, 1.5 + 0j
+    _, _, k0, _, j = cp1_window(m, z, monkeypatch)
     summed = 0
 
     class CountingMath:
@@ -185,8 +196,55 @@ def test_cp1_window_is_narrow(monkeypatch):
             return math.fsum(terms)
 
     monkeypatch.setattr(density, "math", CountingMath())
-    assert cp1_density(10**6, 1.5 + 0j) == pytest.approx(10**6 + 1.0, rel=1e-12)
-    assert 0 < summed < 12_000
+    assert cp1_density(m, z) == pytest.approx(10**6 + 1.0, rel=1e-12)
+    assert summed == min(j, m - k0) + min(j, k0) + 1 == 8_797
+    assert summed < 12_000
+
+
+def mp_binomial_tail(m, p, k, step):
+    """P(X >= k) at step 1 or P(X <= k) at step -1, X ~ Binomial(m, p), at the working precision.
+
+    Summed from k outward.  k lies beyond the mean on that side, so each ratio of
+    neighbouring terms is below the one before, and the sum stops once the
+    geometric series at the current ratio puts what is left below eps of it.
+    """
+    term = mpmath.binomial(m, k) * p**k * (1 - p) ** (m - k)
+    total = mpmath.mpf(0)
+    while term:
+        total += term
+        if step > 0:
+            ratio = (m - k) * p / ((k + 1) * (1 - p))
+        else:
+            ratio = k * (1 - p) / ((m - k + 1) * p)
+        if ratio * term < (1 - ratio) * mpmath.eps * total:
+            break
+        term *= ratio
+        k += step
+    return total
+
+
+@pytest.mark.parametrize("r", [0.0, 1e-160, 1e-3, 0.5, 1.0, 1.5, 3.0, 30.0])
+def test_cp1_window_cuts_below_2_to_the_minus_65_each_side(r, monkeypatch):
+    # the walk sums exactly the window k0 +- j within 0..m, and the Binomial(m, p)
+    # mass beyond each side is at most 2^-65 at 40 digits; up to m = 1000 the sums
+    # match the regularized incomplete beta, P(X >= k) = I_p(k, m - k + 1) and
+    # P(X <= k) = I_q(m - k, k + 1), whose mpmath series cancels past its
+    # precision limit from m = 1e5 on
+    for m in list(range(1, 65)) + [1000, 10**5, 10**6]:
+        args = cp1_window(m, complex(r, 0.0), monkeypatch)
+        _, s, k0, _, j = args
+        assert sum(1 for _ in density._cp1_walk(*args)) == min(j, m - k0) + min(j, k0) + 1
+        with mpmath.workdps(40):
+            p = mpmath.mpf(s) / (1 + mpmath.mpf(s))
+            for k, step in [(k0 + j + 1, 1), (k0 - j - 1, -1)]:
+                if not 0 <= k <= m:
+                    continue
+                mass = mp_binomial_tail(m, p, k, step)
+                if m <= 1000:
+                    a, b, x = (k, m - k + 1, p) if step > 0 else (m - k, k + 1, 1 - p)
+                    exact = mpmath.betainc(a, b, 0, x, regularized=True)
+                    assert abs(mass - exact) <= 1e-30 * exact, (m, r, k)
+                assert mass <= mpmath.mpf(2) ** -65, (m, r, k, mass)
 
 
 def test_stirlerr_matches_mpmath():

@@ -41,6 +41,20 @@ def test_light_modules_import_without_numpy():
     assert out.stdout == "False\n"
 
 
+def test_density_imports_without_json():
+    # json is imported by sweep_to_json alone, so cold commands other than
+    # sweep --format json do not pay for it
+    src = os.path.dirname(os.path.dirname(bergmanlab.__file__))
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import bergmanlab.density; "
+        "print('json' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-I", "-c", code], capture_output=True, text=True, check=True
+    )
+    assert out.stdout == "False\n"
+
+
 def importers(top: str) -> set:
     """The package's module files that import top or one of its submodules."""
     found = set()

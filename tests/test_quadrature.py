@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from exact_moments import exact_moment
 
+from bergmanlab import quadrature
 from bergmanlab.geometry import ModelGeometry, log_bundle_weight, log_metric_density
 from bergmanlab.quadrature import (
     lambda0_closed_form,
@@ -271,6 +272,23 @@ def test_moment_fuzz_holds_its_error_bar(seed):
             assert time.perf_counter() - start < 2.0, (rho, m, p, radius)
         err = abs(mpmath.mpf(got.value) - exact_moment(rho, m, p, radius))
         assert err <= got.abs_err, (rho, m, p, radius, got)
+
+
+def test_complement_with_long_product_of_wide_factors():
+    # b >= 2^1022, so P's denominator multiplies 1531 factors of about 1050 bits,
+    # which the balanced product forms in about a sixth of the sequential time;
+    # value and abs_err are the bits of the sequential product's route
+    got = lambda_inv_sq(ModelGeometry(1e-300), 375, 1530, 2.020341013836909)
+    assert got.value.hex() == "0x1.5e38f8626dd2cp+893"
+    assert got.abs_err.hex() == "0x1.ca09f9040b5e4p+855"
+
+
+@pytest.mark.parametrize("top, n", [(1, 1), (2**1050 + 3, 7), (10**6, 0)],
+                         ids=["small", "wide", "rho-0"])
+def test_rising_product_matches_math_prod(top, n):
+    for count in (1, 2, 31, 32, 33, 64, 65, 200):
+        expected = math.prod(top + n * k for k in range(count))
+        assert quadrature._rising_product(top, n, count) == expected, count
 
 
 def test_reference_moment_at_huge_finite_b():
