@@ -118,10 +118,9 @@ def _suite_eta_bounds(args, rng) -> tuple[str, str]:
 
 def _suite_psi_hessian(args, rng) -> tuple[str, str]:
     profile = cutoff.get_profile(args.eta)
-    geom = geometry.ModelGeometry(-2.0)
     worst = math.inf
     for m, p_prime in ((10**3, 2), (10**4, 2), (10**4, 3)):
-        margin = cutoff.psi_hessian_bound_check(geom, m, p_prime, profile)
+        margin = cutoff.psi_hessian_bound_check(m, p_prime, profile)
         worst = min(worst, margin)
         if margin < 0.0:
             return ("FAIL", f"margin {margin:.3e} at (m={m}, p'={p_prime})")

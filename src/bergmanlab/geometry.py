@@ -13,6 +13,7 @@ from fractions import Fraction
 
 __all__ = [
     "ModelGeometry",
+    "log_conformal_factor",
     "metric_density",
     "log_metric_density",
     "log_bundle_weight",
@@ -23,50 +24,43 @@ __all__ = [
 
 
 class ModelGeometry:
-    """The curvature parameter rho of the model and the radius of its disk."""
+    """The curvature rho of the model, the exponent -2/rho of a, and the radius of its disk."""
 
     def __init__(self, rho: float) -> None:
         if not math.isfinite(rho):
             raise ValueError("curvature must be finite")
-        self.rho, self.max_radius = rho, math.inf
-        if rho < 0:
-            c = -2.0 / rho  # overflows below |rho| = 2/DBL_MAX, so is then formed at rho 2^64
-            self.max_radius = (math.sqrt(c) if c < math.inf
-                               else math.sqrt(-2.0 / (rho * 2.0**64)) * 2.0**32)
-
-    def require_inside(self, r: float) -> None:
-        if r < 0 or not r < self.max_radius:
-            raise ValueError(f"radius {r!r} outside model disk of radius {self.max_radius!r}")
+        # -2/rho = c scale; it overflows below |rho| = 2/DBL_MAX, so c is then formed at rho 2^64
+        self.rho, self.c, self.scale = rho, (-2.0 / rho if rho else 0.0), 1.0
+        if math.isinf(self.c):
+            self.c, self.scale = -2.0 / (rho * 2.0**64), 2.0**64
+        self.max_radius = math.sqrt(self.c) * math.sqrt(self.scale) if rho < 0 else math.inf
 
 
-def _half_rho_r2(geom: ModelGeometry, r: float) -> float:
-    """w = rho r^2 / 2, halving r: halving a subnormal rho would drop its last bit."""
-    return geom.rho * (0.5 * r) * r
+def log_conformal_factor(geom: ModelGeometry, r: float) -> tuple[float, float]:
+    """w = rho r^2 / 2 and log(1 + w) at radius r of the model disk.
 
-
-def _log_conformal_factor(geom: ModelGeometry, r: float, w: float) -> float:
-    """log(1 + w), w = rho r^2 / 2; below 1/2, 1 + w is formed exactly."""
+    w halves r, since halving a subnormal rho drops its last bit; below w = -1/2,
+    1 + w is formed exactly.
+    """
+    if r < 0 or not r < geom.max_radius:
+        raise ValueError(f"radius {r!r} outside model disk of radius {geom.max_radius!r}")
+    w = geom.rho * (0.5 * r) * r
     if w >= -0.5:
-        return math.log1p(w)
-    return math.log(1 + Fraction(geom.rho) * Fraction(r) ** 2 / 2)
+        return w, math.log1p(w)
+    return w, math.log(1 + Fraction(geom.rho) * Fraction(r) ** 2 / 2)
 
 
 def log_metric_density(geom: ModelGeometry, r: float) -> float:
     """log g at radius r; g = (1 + rho r^2 / 2)^(-2), identically 1 at rho=0."""
-    geom.require_inside(r)
-    return -2.0 * _log_conformal_factor(geom, r, _half_rho_r2(geom, r))
+    return -2.0 * log_conformal_factor(geom, r)[1]
 
 
 def log_bundle_weight(geom: ModelGeometry, r: float) -> float:
     """log a at radius r; a = (1 + rho r^2 / 2)^(-2/rho), e^(-r^2) at rho=0."""
-    geom.require_inside(r)
-    w = _half_rho_r2(geom, r)
+    w, log1p_w = log_conformal_factor(geom, r)
     if abs(w) < 2.0**-53:  # log a = -r^2 log1p(w) / w is -r^2 to within |w| / 2 < u / 2
         return -r * r
-    c = -2.0 / geom.rho  # overflows below |rho| = 2/DBL_MAX, so is then formed at rho 2^64
-    if math.isfinite(c):
-        return c * _log_conformal_factor(geom, r, w)
-    return -2.0 / (geom.rho * 2.0**64) * _log_conformal_factor(geom, r, w) * 2.0**64
+    return geom.c * log1p_w * geom.scale
 
 
 def metric_density(geom: ModelGeometry, z: complex) -> float:

@@ -49,7 +49,7 @@ from decimal import Decimal
 from fractions import Fraction
 from itertools import accumulate, repeat
 
-from .geometry import ModelGeometry, _half_rho_r2, log_bundle_weight, log_metric_density
+from .geometry import ModelGeometry, log_bundle_weight, log_conformal_factor, log_metric_density
 
 __all__ = [
     "RadialMoment",
@@ -86,10 +86,9 @@ G2, G6, G7, G8 = map(_gamma, (2, 6, 7, 8))  # the gamma_n that every complement 
 def _complement(geom: ModelGeometry, m: int, p: int, radius: float,
                 n: int, d: int, top: int) -> tuple[float, float] | None:
     """P (1 - Q) and its bound in floats, or None where Q > 1/2; n/d = |rho|, top = n b > 0."""
-    w = _half_rho_r2(geom, radius)
+    w, log1p_w = log_conformal_factor(geom, radius)
     u = max(w, 0.0)  # u, or 0 where rho <= 0
-    pieces = [m * log_bundle_weight(geom, radius), 0.5 * log_metric_density(geom, radius),
-              p * math.log1p(u)]
+    pieces = [m * log_bundle_weight(geom, radius), -log1p_w, p * math.log1p(u)]
     b = top / n if top >> 1022 < n else None
     z = (abs(w) if b is not None else top / (2 * d) * (radius * radius)) / (1.0 + u)  # y or b y
     base = math.fsum(pieces)

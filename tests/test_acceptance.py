@@ -204,10 +204,9 @@ def test_criterion_7_cutoff_constraints():
 
 
 def test_criterion_8_weight_hessian_bound():
-    geom = ModelGeometry(-2.0)
     worst = math.inf
     for m, p_prime in ((10**3, 2), (10**4, 2), (10**4, 3)):
-        margin = psi_hessian_bound_check(geom, m, p_prime, C1_PROFILE)
+        margin = psi_hessian_bound_check(m, p_prime, C1_PROFILE)
         assert margin >= 0.0  # form-normalized bound (with the 2 pi)
         # plain bound as stated by the gate: -100 m (1+2p')/(log m)^2 * g
         worst = min(worst, margin)

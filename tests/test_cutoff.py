@@ -137,7 +137,7 @@ def _stencil_margin(geom, m, p_prime, profile):
 )
 def test_psi_hessian_bound(profile, m, p_prime, expected):
     geom = ModelGeometry(-2.0)
-    margin = psi_hessian_bound_check(geom, m, p_prime, profile)
+    margin = psi_hessian_bound_check(m, p_prime, profile)
     assert margin >= 0.0
     assert margin == expected
     assert margin == pytest.approx(_mpmath_margin(profile, m, p_prime), rel=1e-12, abs=0)

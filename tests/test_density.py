@@ -122,11 +122,11 @@ U = 2.0**-53
 
 
 def cp1_bound(m, z):
-    """cp1_density's relative error bound (3 sigma + 14) u + 2^-64, taken here with 2^-63."""
+    """cp1_density's relative error bound (3 sigma + 14) u + 2^-64."""
     r = abs(z)
     s = min(r, 1.0 / r) ** 2 if r else 0.0
     sigma = math.sqrt(m * s) / (1.0 + s)
-    return (3.0 * sigma + 14.0) * U + 2.0**-63
+    return (3.0 * sigma + 14.0) * U + 2.0**-64
 
 
 def cp1_rel_err(m, value):

@@ -71,6 +71,24 @@ def importers(top: str) -> set:
     return found
 
 
+def private_imports() -> set:
+    """(module file, name) for each underscore-prefixed name a module imports from the package."""
+    found = set()
+    for path in Path(bergmanlab.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and (
+                node.level > 0 or (node.module or "").split(".")[0] == "bergmanlab"
+            ):
+                found.update((path.name, alias.name) for alias in node.names
+                             if alias.name.startswith("_"))
+    return found
+
+
+def test_no_module_imports_a_private_name():
+    # each formula has one home: a module reaches another's only through its public names
+    assert private_imports() == set()
+
+
 def test_only_gram_imports_numpy():
     # numpy serves gram's LAPACK routes alone; every other module is pure Python
     assert importers("numpy") == {"gram.py"}
