@@ -56,11 +56,10 @@ def _write_out(path: str | None, text: str) -> None:
         sys.stdout.write(text)
         return
     try:
-        fh = open(path, "w", newline="\n")
+        with open(path, "w", newline="\n") as fh:
+            fh.write(text)
     except OSError as exc:
         raise ValueError(f"cannot write {path!r}: {exc.strerror}") from exc
-    with fh:
-        fh.write(text)
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -82,7 +81,7 @@ def _sample_points(rng: random.Random, count: int, r_lo: float, r_hi: float) -> 
     pts = []
     for _ in range(count):
         r = rng.uniform(r_lo, r_hi)
-        theta = rng.uniform(0.0, 2.0 * math.pi)
+        theta = rng.uniform(0.0, math.tau)
         pts.append(complex(r * math.cos(theta), r * math.sin(theta)))
     return pts
 
@@ -254,11 +253,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_cp1 = sub.add_parser(
         "cp1",
         help="exact sphere-model density check",
-        description="Exact sphere-model density check against m + 1.  A sample sums a "
-        "window of 2j + 1 <= 19 sqrt(m p (1 - p)) + 66 terms, p = |z|^2 / (1 + |z|^2) taken "
-        "<= 1/2, which Bernstein's inequality fixes so that it cuts at most 2^-64 of the sum; "
-        "a window above 1.04e7 terms (about 1.5 s) is refused, so every z is accepted up to "
-        "m = 1.2e12.",
+        description="Exact sphere-model density check against m + 1; a sample whose "
+        f"summation window exceeds {density.MAX_WINDOW:.3g} terms is refused.",
     )
     p_cp1.add_argument("--m", type=int, required=True)
     p_cp1.add_argument("--samples", type=int, default=20)

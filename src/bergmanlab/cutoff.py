@@ -24,7 +24,6 @@ __all__ = [
     "psi_hessian_bound_check",
 ]
 
-TWO_PI = 2.0 * math.pi
 RADIAL_POINTS = 24  # psi_hessian_bound_check's grid points on the transition annulus
 _UNIT_DISK = ModelGeometry(-2.0)  # the model on which psi_hessian_bound_check is stated
 
@@ -101,18 +100,17 @@ def psi_hessian_bound_check(m: int, p_prime: int, profile) -> float:
     psi = (1 + 2p') eta(t) log t with t = kappa |z|^2, kappa = m / (log m)^2, is radial,
     so d^2 psi / dz dzbar = kappa (1 + 2p') (eta'(t) (log t + 2) + t eta''(t) log t).
     The bound is the curvature inequality of the rho = -2 model for the Kahler form
-    omega = (i/2pi) g dz ^ dzbar; dropping the 2 pi only loosens it.  The least margin
-    at 30 values of t (plateau, transition annulus, outer region; clear of the log pole
-    and the knots) is an upper bound on the infimum, not a proof: for "c1" the infimum,
-    the limit at t = 3/4 from above, is about 1.7% lower.
+    omega = (i/2pi) g dz ^ dzbar; dropping the 2 pi only loosens it.  Where eta is flat
+    (t <= 1/2 or t >= 1) psi is harmonic, so the margin there is -coeff g >= -coeff, the
+    limit at t = 0 (g >= 1 on the disk).  The result is the least of 24 transition samples
+    and the flat-region bound -coeff: an upper bound on the infimum, not a proof, since
+    for "c1" the infimum, the limit at t = 3/4 from above, is about 1.7% lower.
     """
     log_m = math.log(m)
     kappa = m / log_m**2
-    coeff = -100.0 * m * (1 + 2 * p_prime) / log_m**2 / TWO_PI
-    t_values = [0.12, 0.25, 0.40, 1.05, 1.15, 1.30]
-    t_values += [0.52 + (0.98 - 0.52) * i / (RADIAL_POINTS - 1) for i in range(RADIAL_POINTS)]
-    min_margin = math.inf
-    for t in t_values:
+    coeff = -100.0 * m * (1 + 2 * p_prime) / log_m**2 / math.tau
+    min_margin = -coeff
+    for t in (0.52 + (0.98 - 0.52) * i / (RADIAL_POINTS - 1) for i in range(RADIAL_POINTS)):
         log_t = math.log(t)
         shape = profile.eta_d1(t) * (log_t + 2.0) + t * profile.eta_d2(t) * log_t
         ddbar = kappa * (1 + 2 * p_prime) * shape

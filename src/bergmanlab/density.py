@@ -3,13 +3,12 @@
 from __future__ import annotations
 
 import math
-import sys
 from collections import namedtuple
 
 from .geometry import ModelGeometry
 # The benchmark tracer (bench/spans.py) wraps these two names on this module.
 from .gram import assemble_truncated_gram, schur_i00  # noqa: F401
-from .quadrature import lambda0_log_tail, lambda0_tail
+from .quadrature import DBL_MIN, lambda0_log_tail, lambda0_tail
 
 __all__ = [
     "DensityReport",
@@ -44,8 +43,6 @@ def remainder_envelope(m: int) -> float:
 # an end by at most 4.7 u E in all (u = 2^-53; half's budget term only widens), and each
 # step from a double beyond E moves it by over 0.99 u E.
 OUTWARD_STEPS = 6
-
-DBL_MIN = sys.float_info.min
 
 
 def density_estimate(geom: ModelGeometry, m: int, budget_c: float) -> DensityReport:

@@ -62,6 +62,7 @@ __all__ = [
 
 U = 2.0**-53  # unit roundoff of a double
 TINY = 2.0**-1074  # covers the absolute error of two roundings below the normal range
+DBL_MIN = sys.float_info.min  # smallest normal double
 LN2 = math.log(2.0)
 DEC = decimal.Context(prec=50, Emin=-(10**9), Emax=10**9)
 UD = Decimal("1e-49")  # relative error of one DEC operation, rounded up from half an ulp
@@ -140,9 +141,8 @@ def _rising_product(top: int, n: int, count: int) -> int:
     return _rising_product(top, n, half) * _rising_product(top + n * half, n, count - half)
 
 
-def _dec(q) -> Decimal:
-    q = Fraction(q)
-    return Decimal(q.numerator) / Decimal(q.denominator)
+def _dec(q: Fraction) -> Decimal:
+    return Decimal(q.numerator) / q.denominator
 
 
 def _log(q: Fraction) -> Decimal:
@@ -280,7 +280,7 @@ def lambda0_log_tail(geom: ModelGeometry, m: int) -> float:
     x = 0.5 * rho * log_m * log_m / m
     if math.isinf(x):  # rho (log m)^2 / 2 passed the largest double before the division
         x = 0.5 * rho / m * log_m * log_m
-    if abs(x) < sys.float_info.min or not math.isfinite(2.0 * m / rho):  # rho = 0 stops at x
+    if abs(x) < DBL_MIN or not math.isfinite(2.0 * m / rho):  # rho = 0 stops at x
         return -log_m * log_m
     if not x > -1.0:  # x rounded past log1p's pole: log(1 + w) at R, 1 + w formed exactly
         return (-1.0 - 2.0 * m / rho) * -0.5 * log_metric_density(geom, truncation_radius(m))

@@ -227,13 +227,20 @@ def test_sweep_rejects_budget_beyond_double_range(fmt, capsys):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, out",
     [
-        ["sweep", "--rho", "0", "--m-list", "100"],
+        pytest.param(["sweep", "--rho", "0", "--m-list", "100"], "missing/out.txt", id="argv0"),
+        pytest.param(
+            ["sweep", "--rho", "0", "--m-list", "100"],
+            "/dev/full",  # opens, but the write fails with ENOSPC
+            id="dev-full",
+            marks=pytest.mark.skipif(not Path("/dev/full").exists(), reason="no /dev/full"),
+        ),
     ],
 )
-def test_out_into_missing_directory(argv, tmp_path, capsys):
-    code, _, err = run(argv + ["--out", str(tmp_path / "missing" / "out.txt")], capsys)
+def test_out_into_missing_directory(argv, out, tmp_path, capsys):
+    # an absolute out replaces tmp_path
+    code, _, err = run(argv + ["--out", str(tmp_path / out)], capsys)
     assert code == 2
     assert err.startswith("error:") and err.count("\n") == 1
 

@@ -78,7 +78,8 @@ def test_get_profile():
 
 
 def _t_grid():
-    # psi_hessian_bound_check's grid: plateau, transition annulus, outer region
+    # psi_hessian_bound_check's transition annulus, and samples of the plateau and the
+    # outer region, where the check takes the flat-region bound -coeff instead
     t_values = [0.12, 0.25, 0.40, 1.05, 1.15, 1.30]
     return t_values + [
         0.52 + (0.98 - 0.52) * i / (RADIAL_POINTS - 1) for i in range(RADIAL_POINTS)
@@ -120,6 +121,16 @@ def _stencil_margin(geom, m, p_prime, profile):
             ddbar = mixed_derivative(psi, x, y, 1e-3 * r)
             worst = min(worst, ddbar - coeff * metric_density(geom, complex(x, y)))
     return worst
+
+
+@pytest.mark.parametrize("profile", [C1_PROFILE, SMOOTH_PROFILE], ids=["c1", "smooth"])
+@pytest.mark.parametrize("m", [3, 10, 50])
+def test_psi_hessian_bound_flat_region(profile, m):
+    # at small m the transition margin exceeds the flat-region infimum -coeff, the t -> 0
+    # limit of -coeff g, where psi = (1 + 2p') log t is harmonic and g -> 1
+    with mpmath.workdps(40):
+        bound = 100 * m * (1 + 2 * 2) / mpmath.log(m) ** 2 / (2 * mpmath.pi)
+    assert psi_hessian_bound_check(m, 2, profile) == pytest.approx(float(bound), rel=1e-14, abs=0)
 
 
 # Margins of the closed form, pinned bit for bit.

@@ -340,7 +340,8 @@ def test_cp1_refuses_window_beyond_limit(monkeypatch):
     # about 9e10 terms at |z| = 1, hours of work
     with pytest.raises(ValueError, match="term window at m=100000000000000000000"):
         cp1_density(10**20, 1 + 0j)
-    # the window is at most 9 sqrt(m), within the limit at every z up to m = 1.2e12
+    # the window 2j + 1 <= 19 sigma + 66 <= 9.5 sqrt(m) + 66 is within the limit at every z
+    # up to m = 1.2e12
     monkeypatch.setattr(density, "_cp1_walk", lambda *args: [1.0])
     assert cp1_density(1_200_000_000_000, 1 + 0j) == 1.0
 
