@@ -60,12 +60,17 @@ def run(argv, capsys):
             "sweep_c1_rho2.csv",
         ),
         (
+            ["--rho", "0", "--budget-c", "1", "--m-range", "10:1000000000000000000",
+             "--points", "200"],
+            "sweep_c1_rho0.csv",
+        ),
+        (
             ["--rho", "-0.7", "--budget-c", "1", "--m-range", "10:1000000000000000000",
              "--points", "20", "--format", "json"],
             "sweep_c1_rho-0.7.json",
         ),
     ],
-    ids=["criterion11", "c1_rho-0.7", "c1_rho2", "json_c1_rho-0.7"],
+    ids=["criterion11", "c1_rho-0.7", "c1_rho2", "c1_rho0", "json_c1_rho-0.7"],
 )
 def test_sweep_matches_golden_csv(argv, golden, tmp_path, capsys):
     out = tmp_path / "sweep.out"
