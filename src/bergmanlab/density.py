@@ -6,9 +6,10 @@ import math
 from collections import namedtuple
 
 from .geometry import ModelGeometry
-# The benchmark tracer (bench/spans.py) wraps these two names on this module.
+from .quadrature import DBL_MIN, lambda0_log_tail
+# Only the benchmark tracer (bench/spans.py) reads these three names: it wraps them here.
 from .gram import assemble_truncated_gram, schur_i00  # noqa: F401
-from .quadrature import DBL_MIN, lambda0_log_tail, lambda0_tail
+from .quadrature import lambda0_tail  # noqa: F401
 
 __all__ = [
     "DensityReport",
@@ -64,12 +65,13 @@ def density_estimate(geom: ModelGeometry, m: int, budget_c: float) -> DensityRep
     if m < 10:
         raise ValueError("m must be >= 10")
     reference = expansion_reference(m, geom.rho)
-    t = lambda0_tail(geom, m)
+    log_t = lambda0_log_tail(geom, m)
+    t = math.exp(log_t)  # lambda0_tail(geom, m)
     lam0_sq = reference / (1.0 - t)
     if t >= DBL_MIN:
         tail = reference * t / (1.0 - t)
     else:  # t has lost bits below the normal range; 1 - t is 1 there
-        tail = math.exp(math.log(reference) + lambda0_log_tail(geom, m))
+        tail = math.exp(math.log(reference) + log_t)
     # (1 + budget) - 1 rounds as the Gram route's i00_hi - i00 does
     half = ((1.0 + budget_c * remainder_envelope(m)) - 1.0) * lam0_sq + tail
     lo, hi = lam0_sq - half, lam0_sq + half
@@ -77,16 +79,8 @@ def density_estimate(geom: ModelGeometry, m: int, budget_c: float) -> DensityRep
         lo, hi = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
     if not math.isfinite(hi):  # lo >= -hi, so lo is a double too
         raise ValueError(f"--budget-c {budget_c!r} puts the interval at m={m} beyond the doubles")
-    return DensityReport(
-        m=m,
-        rho=geom.rho,
-        density=lam0_sq,
-        lo=lo,
-        hi=hi,
-        reference=reference,
-        remainder=tail,
-        budget_c=budget_c,
-    )
+    # positional: a namedtuple takes keywords at about twice the cost
+    return DensityReport(m, geom.rho, lam0_sq, lo, hi, reference, tail, budget_c)
 
 
 def cp1_density(m: int, z: complex) -> float:
@@ -229,9 +223,9 @@ def remainder_sweep(rho: float, m_list: list[int], budget_c: float) -> SweepResu
 
 
 def sweep_to_csv(result: SweepResult) -> str:
-    lines = [CSV_HEADER]
-    lines.extend(",".join(map(repr, rep[:7])) for rep in result.reports)
-    return "\n".join(lines) + "\n"
+    rho = f",{result.reports[0].rho!r}," if result.reports else ""  # one rho per sweep
+    rows = (repr(rep.m) + rho + ",".join(map(repr, rep[2:7])) for rep in result.reports)
+    return "\n".join([CSV_HEADER, *rows]) + "\n"
 
 
 def sweep_to_json(result: SweepResult) -> str:

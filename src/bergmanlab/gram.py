@@ -100,7 +100,8 @@ def max_route_deviation(seed: int, count: int) -> float:
         by_dim.setdefault(k, []).append(rng.normal(size=(2, k, k)))  # real and imaginary parts
     worst = 0.0
     for k, draws in by_dim.items():
-        b = np.array([re + 1j * im for re, im in draws])
+        parts = np.array(draws)
+        b = parts[:, 0] + 1j * parts[:, 1]
         F = b @ b.conj().mT + 0.5 * k * np.eye(k)
         G = BorderedGram(entries=0.5 * (F + F.conj().mT))
         v = np.array([schur_i00(G)[0], inverse00_oracle(G), orthonormalize_i00(G)])

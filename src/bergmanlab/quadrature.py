@@ -272,7 +272,7 @@ def lambda0_log_tail(geom: ModelGeometry, m: int) -> float:
         raise ValueError("m must be >= 2")
     log_m = math.log(m)
     rho = geom.rho
-    if not truncation_radius(m) < geom.max_radius:
+    if rho < 0 and not truncation_radius(m) < geom.max_radius:  # the disk is the plane at rho >= 0
         raise ValueError(
             f"m={m} is too small for rho={rho!r}: the truncation disk leaves the model disk "
             f"of radius {geom.max_radius!r}"

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from bergmanlab import density
+from bergmanlab import density, quadrature
 from bergmanlab.density import (
     CSV_HEADER,
     OUTWARD_STEPS,
@@ -518,3 +518,22 @@ def test_remainder_below_normal_range_matches_mpmath(rho):
             exact = (m + mpmath.mpf(rho) / 2) * t / (1 - t)
             got = density_estimate(geom, m, 0.0).remainder
             assert abs(got - exact) <= 1e-12 * max(exact, sys.float_info.min), (m, got, exact)
+
+
+@pytest.mark.parametrize("rho", [-2.0, -0.7, 0.0, 2.0])
+def test_sweep_takes_the_log_tail_once_per_point(rho, monkeypatch):
+    # from m near 3.6e11 the tail is below DBL_MIN and the remainder is formed from
+    # its log, which density_estimate reuses rather than evaluating it again
+    calls = []
+
+    def counted(geom, m):
+        calls.append(m)
+        return lambda0_log_tail(geom, m)
+
+    monkeypatch.setattr(density, "lambda0_log_tail", counted)
+    monkeypatch.setattr(quadrature, "lambda0_log_tail", counted)
+    m_list = [round(10 ** (1 + 17 * i / 99)) for i in range(100)]
+    remainder_sweep(rho, m_list, 1.0)
+    assert calls == m_list
+    tails = [math.exp(lambda0_log_tail(ModelGeometry(rho), m)) for m in m_list]
+    assert min(tails) < sys.float_info.min <= max(tails)
