@@ -27,16 +27,25 @@ def _check_m(m):
 _POW = Context(prec=40)  # 10^y to 40 digits, then rounded once to a double (inf past the largest)
 
 
+def _m_list_entry(tok: str) -> int:
+    try:
+        return int(tok)
+    except ValueError:
+        raise ValueError(f"bad --m-list entry {tok!r}") from None
+
+
 def _parse_m_values(args: argparse.Namespace) -> list[int]:
     if args.points is not None and not args.m_range:
         raise ValueError("--points is only read with --m-range")
     if args.m_list:
-        values = [_check_m(int(tok)) for tok in args.m_list.split(",") if tok.strip()]
+        values = [_check_m(_m_list_entry(tok)) for tok in args.m_list.split(",") if tok.strip()]
     elif args.m_range:
-        lo_s, _, hi_s = args.m_range.partition(":")
-        lo, hi = int(lo_s), int(hi_s)
-        if lo <= 0 or hi < lo:
-            raise ValueError(f"bad m range {args.m_range!r}")
+        try:
+            lo, hi = map(int, args.m_range.split(":"))  # exactly two integers
+            if lo <= 0 or hi < lo:
+                raise ValueError
+        except ValueError:
+            raise ValueError(f"bad m range {args.m_range!r}") from None
         _check_m(hi)
         n = 5 if args.points is None else args.points
         if n < 1:

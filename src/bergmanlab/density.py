@@ -42,11 +42,14 @@ def remainder_envelope(m: int) -> float:
 # nextafter steps taking lo and hi past E = m + rho/2, one per rounding: float(m) above
 # 2^53, m + 0.5*rho, 1 - t, the division, half and the final +-.  With t < 0.03 they move
 # an end by at most 4.7 u E in all (u = 2^-53; half's budget term only widens), and each
-# step from a double beyond E moves it by over 0.99 u E.
+# step from a double beyond E moves it by over 0.99 u E.  density_estimate writes the steps
+# out; test_closed_form_matches_gram_route fails if the two counts part.
 OUTWARD_STEPS = 6
 
 
-def density_estimate(geom: ModelGeometry, m: int, budget_c: float) -> DensityReport:
+def density_estimate(
+    geom: ModelGeometry, m: int, budget_c: float, envelope: float | None = None
+) -> DensityReport:
     """Density = I00 * lambda_0^2 with a propagated interval.
 
     The truncated sections are exactly orthonormal, so their Gram matrix is
@@ -59,6 +62,8 @@ def density_estimate(geom: ModelGeometry, m: int, budget_c: float) -> DensityRep
     directly: the tail sits far below machine epsilon for large m, so
     density - reference would be rounding noise there.  Where t is below the
     normal range, the tail is one exp of log(m + rho/2) + log t, rounded once.
+    envelope is remainder_envelope(m), formed here when not given;
+    remainder_sweep passes the one it already formed for its ratio.
     """
     if not (math.isfinite(budget_c) and budget_c >= 0):
         raise ValueError(f"budget constant must be finite and nonnegative, got {budget_c!r}")
@@ -73,10 +78,13 @@ def density_estimate(geom: ModelGeometry, m: int, budget_c: float) -> DensityRep
     else:  # t has lost bits below the normal range; 1 - t is 1 there
         tail = math.exp(math.log(reference) + log_t)
     # (1 + budget) - 1 rounds as the Gram route's i00_hi - i00 does
-    half = ((1.0 + budget_c * remainder_envelope(m)) - 1.0) * lam0_sq + tail
-    lo, hi = lam0_sq - half, lam0_sq + half
-    for _ in range(OUTWARD_STEPS):
-        lo, hi = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
+    if envelope is None:
+        envelope = remainder_envelope(m)
+    half = ((1.0 + budget_c * envelope) - 1.0) * lam0_sq + tail
+    # OUTWARD_STEPS steps for each end, written out: a loop of them cost twice as much
+    step, down, up = math.nextafter, -math.inf, math.inf
+    lo = step(step(step(step(step(step(lam0_sq - half, down), down), down), down), down), down)
+    hi = step(step(step(step(step(step(lam0_sq + half, up), up), up), up), up), up)
     if not math.isfinite(hi):  # lo >= -hi, so lo is a double too
         raise ValueError(f"--budget-c {budget_c!r} puts the interval at m={m} beyond the doubles")
     # positional: a namedtuple takes keywords at about twice the cost
@@ -205,27 +213,34 @@ def remainder_sweep(rho: float, m_list: list[int], budget_c: float) -> SweepResu
     relative to its predecessor.
     """
     geom = ModelGeometry(rho)
-    reports = tuple(density_estimate(geom, m, budget_c) for m in sorted(m_list))
-    fitted_c = 0.0
+    reports = []
     normalized = []
-    for rep in reports:
-        envelope = remainder_envelope(rep.m)  # 0.0 from m near 3e33, where exp underflows
+    for m in sorted(m_list):
+        # 0.0 from m near 3e33, where exp underflows; m < 10 is density_estimate's to refuse
+        envelope = remainder_envelope(m) if m >= 10 else None
+        rep = density_estimate(geom, m, budget_c, envelope)
+        reports.append(rep)
         if envelope > 0.0:
-            ratio = abs(rep.remainder) / envelope
+            normalized.append(abs(rep.remainder) / envelope)
         else:
-            ratio = math.inf if rep.remainder else 0.0
-        normalized.append(ratio)
-        fitted_c = max(fitted_c, ratio)
+            normalized.append(math.inf if rep.remainder else 0.0)
     violations = tuple(
         reports[i].m for i in range(1, len(reports)) if normalized[i] > normalized[i - 1]
     )
-    return SweepResult(reports=reports, fitted_c=fitted_c, decay_violations=violations)
+    fitted_c = max([0.0, *normalized])  # 0.0 for an empty sweep
+    return SweepResult(reports=tuple(reports), fitted_c=fitted_c, decay_violations=violations)
 
 
 def sweep_to_csv(result: SweepResult) -> str:
-    rho = f",{result.reports[0].rho!r}," if result.reports else ""  # one rho per sweep
-    rows = (repr(rep.m) + rho + ",".join(map(repr, rep[2:7])) for rep in result.reports)
-    return "\n".join([CSV_HEADER, *rows]) + "\n"
+    rho = repr(result.reports[0].rho) if result.reports else ""  # one rho per sweep
+    rows = [CSV_HEADER]
+    for m, _, density, lo, hi, reference, remainder, _ in result.reports:
+        text = repr(density)
+        # from about m = 450, 1 - t rounds to 1 and the density is the reference's double;
+        # a zero is excluded, as 0.0 == -0.0 while their reprs differ
+        ref = text if reference == density and density else repr(reference)
+        rows.append(f"{m!r},{rho},{text},{lo!r},{hi!r},{ref},{remainder!r}")
+    return "\n".join(rows) + "\n"
 
 
 def sweep_to_json(result: SweepResult) -> str:

@@ -272,7 +272,8 @@ def lambda0_log_tail(geom: ModelGeometry, m: int) -> float:
         raise ValueError("m must be >= 2")
     log_m = math.log(m)
     rho = geom.rho
-    if rho < 0 and not truncation_radius(m) < geom.max_radius:  # the disk is the plane at rho >= 0
+    # truncation_radius(m) < R, from the log at hand; the disk is the plane at rho >= 0
+    if rho < 0 and not log_m / math.sqrt(m) < geom.max_radius:
         raise ValueError(
             f"m={m} is too small for rho={rho!r}: the truncation disk leaves the model disk "
             f"of radius {geom.max_radius!r}"

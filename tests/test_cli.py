@@ -312,6 +312,11 @@ HUGE_M = f"m={HUGE} exceeds the largest double 1.7976931348623157e+308"
          "--points must be >= 1"),
         (["sweep", "--rho", "0", "--m-range", "10:1000", "--points", "-1"],
          "--points must be >= 1"),
+        (["sweep", "--rho", "0", "--m-range", "10"], "bad m range '10'"),
+        (["sweep", "--rho", "0", "--m-range", ":100"], "bad m range ':100'"),
+        (["sweep", "--rho", "0", "--m-range", "10:abc"], "bad m range '10:abc'"),
+        (["sweep", "--rho", "0", "--m-range", "10:20:30"], "bad m range '10:20:30'"),
+        (["sweep", "--rho", "0", "--m-list", "10,abc"], "bad --m-list entry 'abc'"),
     ],
     ids=[
         "points-without-m-range",
@@ -334,6 +339,11 @@ HUGE_M = f"m={HUGE} exceeds the largest double 1.7976931348623157e+308"
         "moments-default-radius-too-large",
         "points-0",
         "points-negative",
+        "m-range-without-colon",
+        "m-range-without-lo",
+        "m-range-hi-not-integer",
+        "m-range-three-parts",
+        "m-list-entry-not-integer",
     ],
 )
 def test_bad_value_exits_2_before_output(argv, message, capsys):

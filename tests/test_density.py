@@ -18,6 +18,7 @@ from bergmanlab.density import (
     CSV_HEADER,
     OUTWARD_STEPS,
     DensityReport,
+    SweepResult,
     cp1_density,
     density_estimate,
     expansion_reference,
@@ -407,12 +408,28 @@ def test_closed_form_matches_gram_route(rho):
                     )
 
 
-@settings(max_examples=400, deadline=None)
-@given(
+@pytest.mark.parametrize("rho", [-2.0, -0.7, 0.0, 2.0])
+def test_given_envelope_changes_nothing(rho):
+    # remainder_sweep hands density_estimate the envelope it formed for its ratio
+    geom = ModelGeometry(rho)
+    ms = sorted({int(round(v)) for v in np.logspace(1, 18, 120)})
+    for c in (0.0, 1.0, 7.5):
+        for m in ms:
+            got = density_estimate(geom, m, c, remainder_envelope(m))
+            want = density_estimate(geom, m, c)
+            assert list(map(repr, got)) == list(map(repr, want)), (m, c)
+
+
+# every (m, rho) the sweep accepts, and both a zero and a unit budget
+SWEEP_INPUTS = (
     st.one_of(st.integers(10, 10**20), st.integers(10, MAX_M)),
     st.one_of(st.floats(-2.0, 2.0), st.floats(allow_nan=False, allow_infinity=False)),
     st.sampled_from([0.0, 1.0]),
 )
+
+
+@settings(max_examples=400, deadline=None)
+@given(*SWEEP_INPUTS)
 @example(10**7, -0.7, 0.0)  # lo rounded to nearest lies above m + rho/2
 @example(123456789, 1.1, 0.0)  # hi rounded to nearest lies below it
 @example(2**53 + 1, 0.3, 0.0)  # float(m) rounds
@@ -488,6 +505,40 @@ def test_csv_format():
     assert sweep_to_csv(remainder_sweep(-2.0, [100, 1000], 0.0)) == text
 
 
+def plain_csv_row(rep):
+    """The CSV row of a report, each of its first 7 fields by repr."""
+    return ",".join([repr(rep.m), repr(rep.rho), *map(repr, rep[2:7])])
+
+
+@settings(max_examples=400, deadline=None)
+@given(*SWEEP_INPUTS)
+@example(100, -2.0, 0.0)  # the density is not the reference's double
+@example(10**6, 2.0, 1.0)  # it is
+def test_csv_rows_match_the_plain_formula(m, rho, budget_c):
+    assume(truncation_radius(m) < ModelGeometry(rho).max_radius)
+    try:
+        result = remainder_sweep(rho, [m], budget_c)
+    except ValueError as exc:
+        assert "beyond the doubles" in str(exc)
+        return
+    assert sweep_to_csv(result).splitlines() == [CSV_HEADER, *map(plain_csv_row, result.reports)]
+
+
+def test_csv_reference_column_keeps_its_own_sign_and_value():
+    # the CSV reuses the density's repr for an equal reference, but not across 0.0 == -0.0
+    pairs = [(-0.0, 0.0), (0.0, -0.0), (0.0, 0.0), (-0.0, -0.0), (100.5, 100.0),
+             (100.0, 100.0), (math.nan, math.nan), (5e-324, 0.0)]
+    reports = tuple(
+        DensityReport(100 + i, -1.0, dens, dens - 1.0, dens + 1.0, ref, dens - ref, 1.0)
+        for i, (dens, ref) in enumerate(pairs)
+    )
+    text = sweep_to_csv(SweepResult(reports, 0.0, ()))
+    assert text.splitlines() == [CSV_HEADER, *map(plain_csv_row, reports)]
+    assert [row.split(",")[5] for row in text.splitlines()[1:]] == [
+        "0.0", "-0.0", "0.0", "-0.0", "100.0", "100.0", "nan", "0.0",
+    ]
+
+
 def test_json_format():
     import json
 
@@ -537,3 +588,18 @@ def test_sweep_takes_the_log_tail_once_per_point(rho, monkeypatch):
     assert calls == m_list
     tails = [math.exp(lambda0_log_tail(ModelGeometry(rho), m)) for m in m_list]
     assert min(tails) < sys.float_info.min <= max(tails)
+
+
+@pytest.mark.parametrize("rho", [-2.0, -0.7, 0.0, 2.0])
+def test_sweep_forms_the_envelope_once_per_point(rho, monkeypatch):
+    # the envelope of each point serves both its interval and its fitted-constant ratio
+    calls = []
+
+    def counted(m):
+        calls.append(m)
+        return remainder_envelope(m)
+
+    monkeypatch.setattr(density, "remainder_envelope", counted)
+    m_list = [round(10 ** (1 + 17 * i / 99)) for i in range(100)]
+    remainder_sweep(rho, m_list, 1.0)
+    assert calls == m_list
