@@ -17,6 +17,7 @@ __all__ = [
     "metric_density",
     "log_metric_density",
     "log_bundle_weight",
+    "log_bundle_weight_from",
     "mixed_derivative",
     "curvature_residual",
     "polar_ode_residual",
@@ -24,11 +25,12 @@ __all__ = [
 
 
 class ModelGeometry:
-    """The curvature rho of the model, the exponent -2/rho of a, and the radius of its disk."""
+    """The curvature rho, n/d = |rho| exactly, the exponent -2/rho of a, and its disk's radius."""
 
     def __init__(self, rho: float) -> None:
         if not math.isfinite(rho):
             raise ValueError("curvature must be finite")
+        self.n, self.d = abs(rho).as_integer_ratio()  # d is a power of two
         # -2/rho = c scale; it overflows below |rho| = 2/DBL_MAX, so c is then formed at rho 2^64
         self.rho, self.c, self.scale = rho, (-2.0 / rho if rho else 0.0), 1.0
         if math.isinf(self.c):
@@ -57,7 +59,11 @@ def log_metric_density(geom: ModelGeometry, r: float) -> float:
 
 def log_bundle_weight(geom: ModelGeometry, r: float) -> float:
     """log a at radius r; a = (1 + rho r^2 / 2)^(-2/rho), e^(-r^2) at rho=0."""
-    w, log1p_w = log_conformal_factor(geom, r)
+    return log_bundle_weight_from(geom, r, *log_conformal_factor(geom, r))
+
+
+def log_bundle_weight_from(geom: ModelGeometry, r: float, w: float, log1p_w: float) -> float:
+    """log a at radius r from (w, log1p_w) = log_conformal_factor(geom, r)."""
     if abs(w) < 2.0**-53:  # log a = -r^2 log1p(w) / w is -r^2 to within |w| / 2 < u / 2
         return -r * r
     return geom.c * log1p_w * geom.scale

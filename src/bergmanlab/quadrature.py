@@ -5,14 +5,17 @@ Angular integrals are done analytically (2 pi delta_{alpha beta} under
 a = p + 1 this is gamma(a, x) / m^a for rho = 0, x = m R^2, and c^a B(y; a, b)
 for rho != 0, c = 2/|rho|, with y = |rho| R^2 / 2, b = 2m/|rho| - 1 for
 rho < 0 and y = u/(1+u), u = rho R^2 / 2, b = 2m/rho + 1 - p for rho > 0
-(DLMF 8.4, 8.17).  lambda_inv_sq forms the exact integers n/d = |rho| and
-top = n b once and picks the route; both sum positive terms:
+(DLMF 8.4, 8.17).  From the exact integers n/d = |rho|, formed once by
+ModelGeometry, lambda_inv_sq forms top = n b and picks the route; both sum
+positive terms:
 
 * complement, where top > 0 and Q <= 1/2, in floating point: P (1 - Q) with
   P = p!/m^a or c^a p!/(b)_a exact and Q = e^-x sum_{k<=p} x^k/k! or
   (1-y)^b sum_{j<=p} (b)_j y^j/j!, taking 1 - Q as -expm1(log Q) and the
-  boundary factor from the geometry, m log a(R) + log g(R)/2 (+ p log(1+u));
-  Q's sum stops once it proves Q > 1/2, and P's integers wait for Q <= 1/2;
+  boundary factor from the geometry, m log a(R) + log g(R)/2 (+ p log(1+u)),
+  both logs read from one log_conformal_factor; Q's sum stops once it proves
+  Q > 1/2, and P's integers wait for Q <= 1/2, its powers of two (2d)^a and
+  the denominator of 1 - Q joined in one shift before the one rounding;
 * lower series (DLMF 8.5.1, 8.17.8) elsewhere, in 50-digit decimals from the
   exact rational c y = R^2/(1+max(u, 0)), y = (n/2d) c y and x = b z,
   z = min(y, 1 - h), h = min(1/2, 8/a): (c z)^a (1-z)^b/a sum_n t_n, t_0 = 1,
@@ -32,6 +35,34 @@ p + 1 (Q is then a Poisson distribution function of mean x, whose median is
 above x - log 2).  Its ratio (x + (a + n - 1) z) / (a + n) is then below 1
 from the first term, so no stretch of growing terms precedes its tail bound.
 
+Q's sum is held as s 2^scale with s >= 1/2 and is renormalized into [1/2, 1),
+as frexp would at every term, only where s reaches edge = 2^min(64, kl - 1 -
+scale), and once after the loop.  Let base be the boundary log and u = 2^-53.
+kl = floor(min(-base/log 2 (1 - 2^-50) - 2, 2^62)) is below every k >= 0 at
+which the exit's first test, base + k log 2 > -log 2, can hold in floats:
+fl(k log 2) <= k log 2 (1 + u), fl(-base/log 2) is within a relative u, and
+the two rounded steps that form kl fit in the 2^-50 = 8u and the -2 spared;
+at base > 0, kl < 0, and at base = -inf or |base| near 1e300 the min clamps
+before the floor.  The loop gives the bits of one renormalizing every term:
+
+* exact scalings: at the start of each step its s and t are those of that
+  loop times one 2^k, 0 <= k <= 64, so s + t and t times a ratio round to the
+  same values times 2^k while that loop's t is normal.  Where it falls below
+  2^-1022, 2^968 below ulp(s)/2, it is not the largest term, so a ratio before
+  it was below 1; the ratios never grow at rho = 0 or b >= 1 and are below 1
+  where b < 1, so later terms shrink (up to 3u a step) and t stays below
+  ulp(s)/2 in both loops: s + t is then within half an ulp of s and rounds to s;
+* the same exit: where s < edge, that loop's scale is at most kl - 1 and the
+  first test fails.  At the first step where it could pass, s >= edge,
+  renormalizing gives the same s and scale, and the test runs as at every
+  term; the scale is then at least kl, so edge <= 1/2 <= s from there on and
+  every step renormalizes (as every step does where base > 0);
+* no overflow: each product starts from t <= s < 2^64.  At rho = 0 or b >= 1 the
+  ratios x/j or (b + j - 1) y / j never increase (to within rounding), so a
+  ratio above 2^960 at step j > 1 follows one at step j - 1, whose term, at
+  least 2^959/j with the terms growing from t = s = 1, took s past 2^64 and
+  forced a renormalization to t < 1; where b < 1 every ratio is below y <= 1.
+
 abs_err is a proven bound: Higham's gamma_n = n u / (1 - n u), u = 2^-53,
 over the float roundings done (exp, log, log1p, expm1 within one ulp), or
 10^-49 per decimal rounding against the magnitudes summed plus the series
@@ -47,9 +78,15 @@ import sys
 from collections import namedtuple
 from decimal import Decimal
 from fractions import Fraction
-from itertools import accumulate, repeat
 
-from .geometry import ModelGeometry, log_bundle_weight, log_conformal_factor, log_metric_density
+from .geometry import (
+    ModelGeometry,
+    log_bundle_weight_from,
+    log_conformal_factor,
+    log_metric_density,
+)
+# Only the benchmark tracer (bench/spans.py) reads this name: it wraps it here.
+from .geometry import log_bundle_weight  # noqa: F401
 
 __all__ = [
     "RadialMoment",
@@ -89,7 +126,7 @@ def _complement(geom: ModelGeometry, m: int, p: int, radius: float,
     """P (1 - Q) and its bound in floats, or None where Q > 1/2; n/d = |rho|, top = n b > 0."""
     w, log1p_w = log_conformal_factor(geom, radius)
     u = max(w, 0.0)  # u, or 0 where rho <= 0
-    pieces = [m * log_bundle_weight(geom, radius), -log1p_w, p * math.log1p(u)]
+    pieces = [m * log_bundle_weight_from(geom, radius, w, log1p_w), -log1p_w, p * math.log1p(u)]
     b = top / n if top >> 1022 < n else None
     z = (abs(w) if b is not None else top / (2 * d) * (radius * radius)) / (1.0 + u)  # y or b y
     base = math.fsum(pieces)
@@ -97,14 +134,23 @@ def _complement(geom: ModelGeometry, m: int, p: int, radius: float,
     # partial log would pass it by 6.1u |base| + 5.8u, so one past stop proves Q > 1/2;
     # the first test, without log s <= 0, is a cheap necessary one.
     stop = -LN2 + G8 * (abs(base) + 1.0)
-    t, s, scale = 1.0, 1.0, 0  # the sum is s 2^scale; power-of-two steps keep s in [1/2, 1)
+    # The sum is s 2^scale, s >= 1/2, renormalized into [1/2, 1) only once s reaches edge,
+    # below which the first test cannot hold; no scale below kl passes it (the module
+    # docstring proves the bits are those of renormalizing every term).
+    kl = math.floor(min(-base / LN2 * (1.0 - 2.0**-50) - 2.0, 2.0**62))
+    t, s, scale = 1.0, 1.0, 0
+    edge = math.ldexp(1.0, min(64, kl - 1 - scale))
     for j in range(1, p + 1):
         t *= z / j if b is None else (b + j - 1) * z / j
-        s, e = math.frexp(s + t)
-        t, scale = math.ldexp(t, -e), scale + e
-        if base + scale * LN2 > -LN2 and base + math.log(s) + scale * LN2 > stop:
-            return None
-    log_s = math.log(s) + scale * LN2
+        s += t
+        if s >= edge:
+            s, e = math.frexp(s)
+            t, scale = math.ldexp(t, -e), scale + e
+            if base + scale * LN2 > -LN2 and base + math.log(s) + scale * LN2 > stop:
+                return None
+            edge = math.ldexp(1.0, min(64, kl - 1 - scale))
+    s, e = math.frexp(s)
+    log_s = math.log(s) + (scale + e) * LN2
     log_q = base + log_s
     if log_q > -LN2:
         return None
@@ -121,22 +167,29 @@ def _complement(geom: ModelGeometry, m: int, p: int, radius: float,
     q_hi = math.exp(log_q + log_err)
     rel = q_hi / (1.0 - q_hi) * log_err + G2  # of 1 - Q, with expm1's rounding
     qn, qd = (-math.expm1(log_q)).as_integer_ratio()
-    num = math.factorial(p) << (p + 1) * d.bit_length()  # p! (2d)^a, d being a power of two
+    num = math.factorial(p) * qn
     den = _rising_product(top, n, p + 1)  # top + n k for k < a
-    value = (num * qn) / (den * qd)  # P is exact, so this is the one rounding
+    # (2d)^a / qd, d and qd being powers of two, as one shift
+    shift = (p + 1) * d.bit_length() - qd.bit_length() + 1
+    # P is exact, so this is the one rounding
+    value = (num << shift) / den if shift >= 0 else num / (den << -shift)
     return value, value * (rel + U) * (1.0 + rel) * (1.0 + G8) + TINY
 
 
 def _rising_product(top: int, n: int, count: int) -> int:
     """top (top + n) ... (top + n (count - 1)), exactly.
 
-    math.prod takes one factor at a time, quadratic in the product's size; above
+    A loop takes one factor at a time, quadratic in the product's size; above
     32 factors the two halves are formed first, so the large products are
     balanced and CPython multiplies them by Karatsuba.  1531 factors of 1050
     bits took 1.16 s one at a time and take 0.16 s so (2-core Intel Xeon).
     """
     if count <= 32:
-        return math.prod(accumulate(repeat(n, count - 1), initial=top))
+        product = factor = top
+        for _ in range(count - 1):
+            factor += n
+            product *= factor
+        return product
     half = count // 2
     return _rising_product(top, n, half) * _rising_product(top + n * half, n, count - half)
 
@@ -250,7 +303,7 @@ def lambda_inv_sq(geom: ModelGeometry, m: int, p: int, radius: float) -> RadialM
         raise ValueError(f"radius {radius!r} outside (0, {geom.max_radius!r})")
     if not math.isfinite(m * max(abs(geom.rho), 1.0) * radius * radius):  # x and u are doubles
         raise ValueError(f"radius {radius!r} too large for m={m} at rho={geom.rho!r}")
-    n, d = abs(geom.rho).as_integer_ratio()
+    n, d = geom.n, geom.d
     top = 2 * m * d + n * (-1 if geom.rho < 0 else 1 - p)  # |rho| b d, an exact integer
     try:
         result = (top > 0 and _complement(geom, m, p, radius, n, d, top)

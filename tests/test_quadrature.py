@@ -9,8 +9,13 @@ import numpy as np
 import pytest
 from exact_moments import exact_moment
 
-from bergmanlab import quadrature
-from bergmanlab.geometry import ModelGeometry, log_bundle_weight, log_metric_density
+from bergmanlab import geometry, quadrature
+from bergmanlab.geometry import (
+    ModelGeometry,
+    log_bundle_weight,
+    log_conformal_factor,
+    log_metric_density,
+)
 from bergmanlab.quadrature import (
     lambda0_closed_form,
     lambda0_tail,
@@ -70,30 +75,58 @@ def test_matches_mpmath_on_cli_domain(rho):
     print(f"rho={rho}: worst relative error {worst:.2e}")
 
 
+def moments_csv(points):
+    """rho,m,p,radius,value,abs_err for each point; value and abs_err "refused" where it raises."""
+    lines = ["rho,m,p,radius,value,abs_err"]
+    for rho, m, p, radius in points:
+        try:
+            got = lambda_inv_sq(ModelGeometry(rho), m, p, radius)
+            value = f"{got.value!r},{got.abs_err!r}"
+        except ValueError:
+            value = "refused,refused"
+        lines.append(f"{rho!r},{m},{p},{radius!r},{value}")
+    return "\n".join(lines) + "\n"
+
+
 def cli_domain_csv():
-    """rho,m,p,radius,value,abs_err for the grid above, both "refused" where the moment raises.
+    """The grid above as moments_csv.
 
     tests/data/moments_cli_domain.csv holds this text; regenerate it with
     `PYTHONPATH=src python tests/test_quadrature.py > tests/data/moments_cli_domain.csv`.
     """
-    lines = ["rho,m,p,radius,value,abs_err"]
-    for rho in CLI_RHOS:
-        geom = ModelGeometry(rho)
-        for m in CLI_MS:
-            for p in CLI_PS:
-                for radius in grid_radii(rho):
-                    try:
-                        got = lambda_inv_sq(geom, m, p, radius)
-                        value = f"{got.value!r},{got.abs_err!r}"
-                    except ValueError:
-                        value = "refused,refused"
-                    lines.append(f"{rho!r},{m},{p},{radius!r},{value}")
-    return "\n".join(lines) + "\n"
+    return moments_csv(
+        (rho, m, p, radius)
+        for rho in CLI_RHOS for m in CLI_MS for p in CLI_PS for radius in grid_radii(rho)
+    )
+
+
+# rhos like the benchmark's, whose n/d = |rho| has d near 2^53 (the CLI grid's are dyadic)
+BENCH_RHOS = (-1.7320508075688772, -0.7, 0.3, 1.4142135623730951)
+BENCH_MS = tuple(round(10 ** (2 + k / 4)) for k in range(25))
+BENCH_PS = (*range(11), 40, 200)
+
+
+def bench_domain_csv():
+    """moments_csv at R = truncation_radius(m), R/2 and 2R.
+
+    tests/data/moments_bench_domain.csv holds this text; regenerate it with
+    `PYTHONPATH=src python tests/test_quadrature.py bench > tests/data/moments_bench_domain.csv`.
+    """
+    return moments_csv(
+        (rho, m, p, radius)
+        for rho in BENCH_RHOS for m in BENCH_MS for p in BENCH_PS
+        for radius in (truncation_radius(m), 0.5 * truncation_radius(m), 2.0 * truncation_radius(m))
+    )
 
 
 def test_cli_domain_values_match_golden():
     # bit identity pins the values and their bounds through changes to the moment routes
     assert cli_domain_csv() == (DATA / "moments_cli_domain.csv").read_text()
+
+
+def test_bench_domain_values_match_golden():
+    # the same at the benchmark's rhos, where d is near 2^53 and top = n b is wide
+    assert bench_domain_csv() == (DATA / "moments_bench_domain.csv").read_text()
 
 
 @pytest.mark.parametrize("rho", [-2.0, -0.7, 0.0, 0.3, 2.0])
@@ -283,6 +316,90 @@ def test_complement_with_long_product_of_wide_factors():
     assert got.abs_err.hex() == "0x1.ca09f9040b5e4p+855"
 
 
+def assert_within_bar(rho, m, p, radius):
+    got, _, holds = check_against_mpmath(ModelGeometry(rho), m, p, radius)
+    assert holds, (rho, m, p, radius, got)
+
+
+def test_q_loop_near_zero_boundary_log():
+    # small R at rho = -2 puts the boundary log near 0, above -log 2, where Q's sum
+    # is renormalized and tested at every step; larger m R^2 takes it below.  At
+    # rho = 3 - 2^-51, m = p = 3, b = 2m/rho - 2 is 3e-16 and the boundary log,
+    # exactly -b log(1 + u), rounds to +8.9e-16 at R = 3.
+    for radius in (1e-9, 1e-5, 1e-3, 0.01, 0.1):
+        for m in (2, 3, 10, 1000, 10**8):
+            for p in (0, 1, 5, 40):
+                assert_within_bar(-2.0, m, p, radius)
+    for radius in (0.3, 1.0, 3.0, 30.0):
+        assert_within_bar(3.0 - 2.0**-51, 3, 3, radius)
+
+
+@pytest.mark.parametrize("x", [650.0, 700.0, 705.0, 709.0, 720.0, 1100.0])
+def test_q_loop_past_many_edges(x):
+    # at rho = 0, p = 1000, terms x^j/j! reach e^x: the sum passes 2^64 many times
+    # before its scale nears -log of the boundary factor, where Q > 1/2 exits
+    assert_within_bar(0.0, 10**6, 1000, math.sqrt(x / 10**6))
+
+
+@pytest.mark.parametrize("m, radius", [(10**300, 1.0), (2, 1e150)])
+def test_q_loop_with_huge_ratios(m, radius):
+    # x = m R^2 near 1e300: the first ratio x is above 2^960, so the sum of size x
+    # is renormalized at once and no later term overflows
+    for p in range(51):
+        assert_within_bar(0.0, m, p, radius)
+
+
+@pytest.mark.parametrize("rho", [0.0, -0.5, 0.7])
+@pytest.mark.parametrize("p", [5, 20, 100])
+def test_q_loop_exit_matches_mpmath_q(rho, p, monkeypatch):
+    # x = b y straddles p, where Q crosses 1/2 and the loop's exit test fires: the
+    # lower series is taken exactly where mpmath's Q exceeds 1/2
+    series = []
+
+    def recorded(*args):
+        series.append(args)
+        return lower(*args)
+
+    lower = quadrature._series
+    monkeypatch.setattr(quadrature, "_series", recorded)
+    m, a = 10**4, p + 1
+    both = set()
+    for k in range(-20, 21):
+        radius = math.sqrt((a + k * math.sqrt(a) / 10) / m)
+        with mpmath.workdps(60):
+            r2 = mpmath.mpf(radius) ** 2
+            if rho == 0:
+                q = mpmath.gammainc(a, m * r2, regularized=True)
+            else:
+                u = mpmath.mpf(rho) * r2 / 2
+                y, b = (-u, 2 * m / abs(rho) - 1) if rho < 0 else (u / (1 + u), 2 * m / rho + 1 - p)
+                q = mpmath.betainc(a, b, y, 1, regularized=True)
+        del series[:]
+        assert_within_bar(rho, m, p, radius)
+        assert bool(series) == (q > 0.5), (k, q)
+        both.add(q > 0.5)
+    assert both == {True, False}
+
+
+def test_one_conformal_factor_per_moment(monkeypatch):
+    # the complement reads log a from the factor it already holds
+    calls, series = [], []
+
+    def counted(geom, r):
+        calls.append(r)
+        return log_conformal_factor(geom, r)
+
+    monkeypatch.setattr(geometry, "log_conformal_factor", counted)
+    monkeypatch.setattr(quadrature, "log_conformal_factor", counted)
+    monkeypatch.setattr(quadrature, "_series", lambda *args: series.append(args))
+    rng = random.Random(11)
+    for _ in range(200):
+        m = int(10 ** rng.uniform(2.0, 8.0))
+        lambda_inv_sq(ModelGeometry(rng.uniform(-2.0, 2.0)), m, rng.randrange(11),
+                      truncation_radius(m))
+    assert len(calls) == 200 and not series
+
+
 @pytest.mark.parametrize("top, n", [(1, 1), (2**1050 + 3, 7), (10**6, 0)],
                          ids=["small", "wide", "rho-0"])
 def test_rising_product_matches_math_prod(top, n):
@@ -392,4 +509,4 @@ def test_validation_errors():
 
 
 if __name__ == "__main__":
-    sys.stdout.write(cli_domain_csv())
+    sys.stdout.write(bench_domain_csv() if sys.argv[1:] == ["bench"] else cli_domain_csv())
