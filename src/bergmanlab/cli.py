@@ -111,11 +111,31 @@ def _suite_ode_residuals(args, rng) -> tuple[str, str]:
 
 def _suite_eta_bounds(args, rng) -> tuple[str, str]:
     profile = cutoff.get_profile(args.eta)
-    ts = [1.2 * (i + 0.5) / 10_000 for i in range(10_000)]
-    d1 = list(map(profile.eta_d1, ts))
-    max_d1 = max(0.0, -min(d1))
-    max_d2 = max(0.0, max(map(abs, map(profile.eta_d2, ts))))
-    if max(d1) > 1e-9 or max_d1 > 4.0 + 1e-9:
+    eta_d1, eta_d2 = profile.eta_d1, profile.eta_d2
+    # running min eta', max eta' and max |eta''|, each from 0: the checks read only
+    # max(0, -min eta'), max eta' > 1e-9 and max(0, max |eta''|).  NaN compares false
+    # both ways, so it is tested for only where a sample is no new extreme.
+    lo = hi = max_d2 = 0.0
+    # t = 1.2 (i + 0.5) / 10_000 for i < 10_000, as the same doubles: at k = 2i + 1,
+    # 0.6 k rounds to half of 1.2 (i + 0.5) rounded, since the double 0.6 is half of 1.2
+    for k in range(1, 20_000, 2):
+        t = 0.6 * k / 10_000
+        d = eta_d1(t)
+        if d < lo:
+            lo = d
+        elif d > hi:
+            hi = d
+        elif d != d:
+            return ("FAIL", f"eta' is nan at t = {t!r}")
+        d = eta_d2(t)
+        if d > max_d2:
+            max_d2 = d
+        elif -d > max_d2:
+            max_d2 = -d
+        elif d != d:
+            return ("FAIL", f"eta'' is nan at t = {t!r}")
+    max_d1 = 0.0 - lo  # 0.0, not the -0.0 of -lo, where no slope is negative
+    if hi > 1e-9 or max_d1 > 4.0 + 1e-9:
         return ("FAIL", f"slope bound violated (max -eta' = {max_d1:.3f})")
     if max_d2 > 8.0 + 1e-9:
         if max_d2 <= profile.d2_bound + 1e-9:

@@ -104,7 +104,9 @@ def cp1_density(m: int, z: complex) -> float:
     The term at k0 = floor(m p) is evaluated in Loader's saddle-point form
     (stirlerr + bd0; C. Loader, "Fast and Accurate Computation of Binomial
     Probabilities", 2000), or as (m + 1) (1 + s)^-m at k0 = 0.  The walk
-    outward multiplies by the exact ratio of neighbouring terms.
+    outward multiplies by the exact ratio of neighbouring terms, s (m - k)/(k + 1)
+    up and k/((m - k + 1) s) down, whose integer numerator and denominator sum to
+    m + 1 at every step.
 
     Error bound, u = 2^-53, sigma = sqrt(m p q): the k0 term is off by at most
     10u and each step adds at most 3u, so the result is within
@@ -150,30 +152,31 @@ def _cp1_walk(m: int, s: float, k0: int, term: float, j: int):
     """Terms of cp1_density from the k0 term outward, j steps each way within 0..m.
 
     Each step multiplies by the ratio of neighbouring terms: one correctly
-    rounded int / int division and one product or quotient with s.
+    rounded int / int division and one product or quotient with s.  The
+    division's numerator and denominator sum to m + 1 on both sides, so each
+    side walks one range of denominators den and divides m + 1 - den by it.
     """
     yield term
-    up, down = min(j, m - k0), min(j, k0)
+    n1 = m + 1
     t = term
-    for num, den in zip(range(m - k0, m - k0 - up, -1), range(k0 + 1, k0 + up + 1)):
-        t *= s * (num / den)  # T_{k+1} / T_k = s (m - k) / (k + 1)
+    for den in range(k0 + 1, k0 + min(j, m - k0) + 1):
+        t *= s * ((n1 - den) / den)  # T_{k+1} / T_k = s (m - k) / (k + 1), den = k + 1
         yield t
     t = term
-    for num, den in zip(range(k0, k0 - down, -1), range(m - k0 + 1, m - k0 + down + 1)):
-        t *= (num / den) / s  # T_{k-1} / T_k = k / ((m - k + 1) s)
+    for den in range(m - k0 + 1, m - k0 + min(j, k0) + 1):
+        t *= ((n1 - den) / den) / s  # T_{k-1} / T_k = k / ((m - k + 1) s), den = m - k + 1
         yield t
 
 
 # stirlerr(n) for n = 1..15 from mpmath at 50 digits; above, the Stirling
-# series sum of B_2j / (2j (2j - 1) n^(2j - 1)), its coefficients listed for
-# j = 7 down to 1, whose first omitted term is below 3e-20 from n = 16 on
+# series sum of B_2j / (2j (2j - 1) n^(2j - 1)) for j = 1..7, whose first
+# omitted term is below 3e-20 from n = 16 on
 _STIRLERR_TABLE = (
     0.08106146679532726, 0.0413406959554093, 0.02767792568499834, 0.020790672103765093,
     0.016644691189821193, 0.013876128823070748, 0.01189670994589177, 0.010411265261972096,
     0.009255462182712733, 0.00833056343336287, 0.007573675487951841, 0.00694284010720953,
     0.006408994188004207, 0.0059513701127588475, 0.005554733551962801,
 )
-_STIRLERR_SERIES = (1 / 156, -691 / 360360, 1 / 1188, -1 / 1680, 1 / 1260, -1 / 360, 1 / 12)
 
 
 def _stirlerr(n: int) -> float:
@@ -181,10 +184,9 @@ def _stirlerr(n: int) -> float:
     if n <= len(_STIRLERR_TABLE):
         return _STIRLERR_TABLE[n - 1]
     x = 1.0 / n
-    total = 0.0
-    for c in _STIRLERR_SERIES:
-        total = total * x * x + c
-    return total * x
+    # Horner from j = 7 down, written out: a loop over the coefficients cost more
+    return ((((((1 / 156 * x * x - 691 / 360360) * x * x + 1 / 1188) * x * x - 1 / 1680)
+              * x * x + 1 / 1260) * x * x - 1 / 360) * x * x + 1 / 12) * x
 
 
 def _bd0(x: int, d: float) -> float:
@@ -198,9 +200,9 @@ def _bd0(x: int, d: float) -> float:
     if abs(d) >= 0.1 * total:
         return x * math.log(x / (x - d)) - d
     v = d / total
-    series = 0.0
-    for j in range(17, 1, -2):
-        series = (series + 1.0 / j) * v * v
+    # Horner from 1/17 down, written out as above
+    series = (((((((1 / 17 * v * v + 1 / 15) * v * v + 1 / 13) * v * v + 1 / 11) * v * v
+                 + 1 / 9) * v * v + 1 / 7) * v * v + 1 / 5) * v * v + 1 / 3) * v * v
     return d * v + 2.0 * x * v * series
 
 

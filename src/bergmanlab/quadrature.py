@@ -64,7 +64,8 @@ before the floor.  The loop gives the bits of one renormalizing every term:
   forced a renormalization to t < 1; where b < 1 every ratio is below y <= 1.
 
 abs_err is a proven bound: Higham's gamma_n = n u / (1 - n u), u = 2^-53,
-over the float roundings done (exp, log, log1p, expm1 within one ulp), or
+over the float roundings done (exp, log, log1p, expm1 within one ulp; where
+the magnitudes in log Q's bound pass the largest double, Q is shown to vanish), or
 10^-49 per decimal rounding against the magnitudes summed plus the series
 tail bounded geometrically, then the rounding to a double (2^-1075 more below
 the normal range).
@@ -100,6 +101,7 @@ __all__ = [
 U = 2.0**-53  # unit roundoff of a double
 TINY = 2.0**-1074  # covers the absolute error of two roundings below the normal range
 DBL_MIN = sys.float_info.min  # smallest normal double
+DBL_MAX = sys.float_info.max
 LN2 = math.log(2.0)
 DEC = decimal.Context(prec=50, Emin=-(10**9), Emax=10**9)
 UD = Decimal("1e-49")  # relative error of one DEC operation, rounded up from half an ulp
@@ -159,11 +161,22 @@ def _complement(geom: ModelGeometry, m: int, p: int, radius: float,
     # (1 + p) |w|) / max(|w|, 1); the sum at arguments perturbed within gamma_7 by
     # the roundings of b, or of x and each factor's (j - 1)/b, its log by p times
     # that; its 5p + 2 roundings; the rest
+    w_err = 2.0 * G2 * (m * (radius * radius) + (1 + p) * abs(w)) / max(abs(w), 1.0)
     log_err = (
-        G6 * (math.fsum(map(abs, pieces)) + abs(log_s) + abs(log_q))
-        + 2.0 * G2 * (m * (radius * radius) + (1 + p) * abs(w)) / max(abs(w), 1.0)
+        G6 * (math.fsum(map(abs, pieces)) + abs(log_s) + abs(log_q)) + w_err
         + p * G7 + _gamma(5 * p + 2)
     )
+    if log_err > DBL_MAX:
+        # The magnitudes passed the largest double, as -lead = -m log a does where
+        # 8 rest < -lead (m log a may be -inf, whose exact value is below -DBL_MAX).
+        # m log a <= 0 is off by at most G6 of itself plus w_err, the other terms by
+        # at most their size plus their bounds, so log Q <= lead/2 + 3 rest < lead/8
+        # < -746: Q vanishes, q_hi = e^log_q = 0 and 1 - Q is within expm1's rounding.
+        lead = max(pieces[0], -DBL_MAX)
+        rest = abs(pieces[1]) + abs(pieces[2]) + abs(log_s) + w_err + p * G7 + _gamma(5 * p + 2)
+        if not 8.0 * rest < -lead:
+            raise OverflowError
+        log_err = 0.0
     q_hi = math.exp(log_q + log_err)
     rel = q_hi / (1.0 - q_hi) * log_err + G2  # of 1 - Q, with expm1's rounding
     qn, qd = (-math.expm1(log_q)).as_integer_ratio()

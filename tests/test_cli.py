@@ -420,6 +420,19 @@ def test_moment_where_b_overflows_at_large_radius_is_fast(rho, m, max_degree, ra
         assert abs(mpmath.mpf(value) - exact) <= mpmath.mpf(abs_err), (p, value, abs_err)
 
 
+@pytest.mark.parametrize("m, radius", [(5 * 10**307, "0.9999"), (8 * 10**307, "0.9")],
+                         ids=["5e307-0.9999", "8e307-0.9"])
+def test_moments_prints_no_nan_where_log_q_bound_passes_the_doubles(m, radius, capsys):
+    argv = ["moments", "--rho", "-2", "--m", str(m), "--max-degree", "30", "--radius", radius]
+    code, out, _ = run(argv, capsys)
+    assert code == 0
+    rows = [line.split(",") for line in out.split()[1:]]
+    assert len(rows) == 31 and "nan" not in out
+    for p, value, abs_err in rows[:4]:
+        exact = exact_moment(-2.0, m, int(p), float(radius))
+        assert abs(mpmath.mpf(value) - exact) <= mpmath.mpf(abs_err), (p, value, abs_err)
+
+
 def test_moments_rejects_zero_radius(capsys):
     code, _, err = run(["moments", "--rho", "0", "--m", "50", "--radius", "0"], capsys)
     assert code == 2
@@ -513,6 +526,98 @@ class StubProfile:
 def test_eta_bounds_outcomes(d1, d2, outcome, monkeypatch):
     monkeypatch.setattr(cli.cutoff, "get_profile", lambda name: StubProfile(d1, d2))
     assert cli._suite_eta_bounds(argparse.Namespace(eta="stub"), None) == outcome
+
+
+def list_eta_bounds(profile):
+    """The eta_bounds suite on profile in its earlier form: two sample lists, then reductions."""
+    ts = [1.2 * (i + 0.5) / 10_000 for i in range(10_000)]
+    d1 = list(map(profile.eta_d1, ts))
+    max_d1 = max(0.0, -min(d1))
+    max_d2 = max(0.0, max(map(abs, map(profile.eta_d2, ts))))
+    if max(d1) > 1e-9 or max_d1 > 4.0 + 1e-9:
+        return ("FAIL", f"slope bound violated (max -eta' = {max_d1:.3f})")
+    if max_d2 > 8.0 + 1e-9:
+        if max_d2 <= profile.d2_bound + 1e-9:
+            return ("FLAG", f"profile {profile.name}: |eta''| <= {max_d2:.1f} "
+                            f"(documented {profile.d2_bound:.0f}-bound variant)")
+        return ("FAIL", f"|eta''| = {max_d2:.3f} exceeds documented bound")
+    return ("PASS", f"max -eta' = {max_d1:.3f} <= 4, max |eta''| = {max_d2:.3f} <= 8")
+
+
+@pytest.mark.parametrize(
+    "profile",
+    [cli.cutoff.C1_PROFILE, cli.cutoff.SMOOTH_PROFILE,
+     StubProfile(lambda t: 1e-6 if t > 1.0 else -1.0, lambda t: 0.0),
+     StubProfile(lambda t: -5.0, lambda t: 0.0),
+     StubProfile(lambda t: -1.0, lambda t: -30.0 if t > 0.6 else 1.0),
+     StubProfile(lambda t: -1.0, lambda t: 12.0),
+     StubProfile(lambda t: 1e-9, lambda t: -8.0),
+     # signed zeros, and a slope that is positive everywhere
+     StubProfile(lambda t: -0.0, lambda t: -0.0),
+     StubProfile(lambda t: 0.5 + t, lambda t: t - 0.6)],
+    ids=["c1", "smooth", "positive-slope", "steep-slope", "d2-beyond-bound", "d2-within-bound",
+         "edge", "negative-zeros", "rising"],
+)
+def test_eta_bounds_matches_list_form(profile, monkeypatch):
+    monkeypatch.setattr(cli.cutoff, "get_profile", lambda name: profile)
+    assert cli._suite_eta_bounds(argparse.Namespace(eta="x"), None) == list_eta_bounds(profile)
+
+
+def test_eta_bounds_samples_the_list_form_grid(monkeypatch):
+    seen = []
+    monkeypatch.setattr(cli.cutoff, "get_profile",
+                        lambda name: StubProfile(lambda t: seen.append(t) or -1.0, lambda t: 0.0))
+    cli._suite_eta_bounds(argparse.Namespace(eta="x"), None)
+    assert seen == [1.2 * (i + 0.5) / 10_000 for i in range(10_000)]
+
+
+NAN = math.nan
+# the first grid points past 0.6 and 0.65, and the first of all
+T_06, T_065, T_0 = 0.6 * 10_001 / 10_000, 0.6 * 10_835 / 10_000, 0.6 / 10_000
+
+
+@pytest.mark.parametrize(
+    "d1, d2, detail",
+    [
+        (lambda t: NAN if 0.6 < t < 0.7 else -1.0, lambda t: 0.0, f"eta' is nan at t = {T_06!r}"),
+        (lambda t: -1.0, lambda t: NAN if t > 0.65 else 1.0, f"eta'' is nan at t = {T_065!r}"),
+        # eta'' turns nan before eta' does
+        (lambda t: NAN if t > 0.65 else -1.0, lambda t: NAN if t > 0.6 else 1.0,
+         f"eta'' is nan at t = {T_06!r}"),
+        (lambda t: NAN, lambda t: NAN, f"eta' is nan at t = {T_0!r}"),
+        (lambda t: 0.0, lambda t: NAN, f"eta'' is nan at t = {T_0!r}"),
+    ],
+    ids=["d1-on-an-interval", "d2-past-a-point", "d2-first", "all-nan", "d2-all-nan"],
+)
+def test_eta_bounds_fails_a_nan_sample(d1, d2, detail, monkeypatch):
+    # every comparison with nan is false, so the list form read these as PASS
+    monkeypatch.setattr(cli.cutoff, "get_profile", lambda name: StubProfile(d1, d2))
+    assert cli._suite_eta_bounds(argparse.Namespace(eta="stub"), None) == ("FAIL", detail)
+
+
+@pytest.mark.parametrize("eta", ["c1", "smooth"])
+def test_verify_samples_eta_derivatives_once_per_grid_point(eta, monkeypatch):
+    # 10_000 samples of each in eta_bounds, and RADIAL_POINTS in each psi_hessian check
+    calls = {"eta_d1": 0, "eta_d2": 0}
+    get_profile = cli.cutoff.get_profile
+
+    def counting(name):
+        profile = get_profile(name)
+
+        def counted(attr):
+            method = getattr(profile, attr)
+
+            def call(t):
+                calls[attr] += 1
+                return method(t)
+            return call
+        return StubProfile(counted("eta_d1"), counted("eta_d2"))
+
+    monkeypatch.setattr(cli.cutoff, "get_profile", counting)
+    with redirect_stdout(io.StringIO()):
+        cli.main(["verify", "--eta", eta])
+    each = 10_000 + 3 * cli.cutoff.RADIAL_POINTS
+    assert calls == {"eta_d1": each, "eta_d2": each}
 
 
 def test_cp1_command(capsys):

@@ -275,6 +275,108 @@ def test_bd0_matches_mpmath(x, d):
     assert abs(density._bd0(x, d) - exact) <= tol, (x, d)
 
 
+# Earlier forms of the oracle's kernels, kept as references: the written-out
+# loops must give their bits exactly.
+def zip_walk(m, s, k0, term, j):
+    """_cp1_walk with each ratio's numerator and denominator in ranges of their own."""
+    yield term
+    up, down = min(j, m - k0), min(j, k0)
+    t = term
+    for num, den in zip(range(m - k0, m - k0 - up, -1), range(k0 + 1, k0 + up + 1)):
+        t *= s * (num / den)
+        yield t
+    t = term
+    for num, den in zip(range(k0, k0 - down, -1), range(m - k0 + 1, m - k0 + down + 1)):
+        t *= (num / den) / s
+        yield t
+
+
+STIRLERR_SERIES = (1 / 156, -691 / 360360, 1 / 1188, -1 / 1680, 1 / 1260, -1 / 360, 1 / 12)
+
+
+def loop_stirlerr(n):
+    if n <= len(density._STIRLERR_TABLE):
+        return density._STIRLERR_TABLE[n - 1]
+    x = 1.0 / n
+    total = 0.0
+    for c in STIRLERR_SERIES:
+        total = total * x * x + c
+    return total * x
+
+
+def loop_bd0(x, d):
+    total = x + (x - d)
+    if abs(d) >= 0.1 * total:
+        return x * math.log(x / (x - d)) - d
+    v = d / total
+    series = 0.0
+    for j in range(17, 1, -2):
+        series = (series + 1.0 / j) * v * v
+    return d * v + 2.0 * x * v * series
+
+
+def cp1_bits(m, z):
+    """cp1_density(m, z) as hex, or its error text."""
+    try:
+        return cp1_density(m, z).hex()
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def cp1_oracle_inputs():
+    """(m, z): the oracle bench's shapes, random m to 1e12, m > 2^53 at tiny |z|, refusals."""
+    rng = random.Random(28)
+
+    def polar(r):
+        theta = rng.uniform(0.0, math.tau)
+        return complex(r * math.cos(theta), r * math.sin(theta))
+
+    inputs = [(int(round(10.0 ** rng.uniform(0.0, 6.0))), polar(rng.uniform(0.0, 3.0)))
+              for _ in range(120)]
+    inputs += [(10**6, polar(rng.uniform(0.0, 3.0))) for _ in range(4)]
+    inputs += [(int(10.0 ** rng.uniform(0.0, 12.0)), polar(10.0 ** rng.uniform(-8.0, 8.0)))
+               for _ in range(60)]
+    inputs += [(int(2.0 ** rng.uniform(53.0, 1020.0)), polar(10.0 ** rng.uniform(-320.0, -160.0)))
+               for _ in range(40)]
+    inputs += [(m, complex(0.6 * r, 0.8 * r)) for m in (1, 2, 7, 64)
+               for r in (0.0, 1e-160, 0.5, 1.0, 30.0, 1e300)]
+    return inputs + [(10**20, 1 + 0j), (10**13, 1 + 0j), (MAX_M, 1 + 0j)]
+
+
+def test_cp1_walk_matches_zip_walk(monkeypatch):
+    inputs = cp1_oracle_inputs()
+    got = [cp1_bits(m, z) for m, z in inputs]
+    monkeypatch.setattr(density, "_cp1_walk", zip_walk)
+    assert got == [cp1_bits(m, z) for m, z in inputs]
+    assert sum(text.startswith("ValueError") for text in got) == 3
+
+
+def test_stirlerr_matches_loop():
+    # the values are positive and finite, so == compares their bits
+    ns = range(1, 10**6 + 1)
+    assert list(map(density._stirlerr, ns)) == list(map(loop_stirlerr, ns))
+
+
+def test_bd0_matches_loop():
+    # the series gives way to the closed form at |d| = (x + M) / 10, d = x / 5.5 or
+    # -x / 4.5: three doubles on each side of each edge, and one d within 1.5 times it
+    rng = random.Random(28)
+    closed = total = 0
+    for _ in range(2000):
+        x = int(10.0 ** rng.uniform(0.0, 15.0))
+        for edge in (x / 5.5, -x / 4.5):
+            ds = [edge, edge * rng.uniform(0.0, 1.5)]
+            below = above = edge
+            for _ in range(3):
+                below, above = math.nextafter(below, 0.0), math.nextafter(above, 2.0 * above)
+                ds += [below, above]
+            for d in ds:
+                assert density._bd0(x, d).hex() == loop_bd0(x, d).hex(), (x, d)
+                closed += abs(d) >= 0.1 * (x + (x - d))
+                total += 1
+    assert 0.3 * total < closed < 0.7 * total
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     m=st.integers(1, 10**6),

@@ -128,3 +128,34 @@ def test_benchmark_tracer_hooks_fit_the_package():
     assert tracer.calls["gram.reference_routes"] == 2 * len(sizes)
     assert tracer.calls["density.estimate"] == 2
     assert 2 <= tracer.dim_max <= 12
+
+
+def module_private_names() -> tuple[set, set]:
+    """(module file, name) for each private name a module defines at its top level, and
+    every name the package reads, as a variable or an attribute."""
+    defined, read = set(), set()
+    for path in Path(bergmanlab.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(), str(path))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            defined.update((path.name, name) for name in names
+                           if name.startswith("_") and not name.startswith("__"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return defined, read
+
+
+def test_every_private_module_name_is_read():
+    # a private helper or constant that no code reads is left over from an earlier form
+    defined, read = module_private_names()
+    assert {"_SUITES", "_stirlerr", "_complement"} <= {name for _, name in defined}
+    assert {(path, name) for path, name in defined if name not in read} == set()

@@ -307,6 +307,20 @@ def test_moment_fuzz_holds_its_error_bar(seed):
         assert err <= got.abs_err, (rho, m, p, radius, got)
 
 
+@pytest.mark.parametrize(
+    "m, radius",
+    [(5 * 10**307, 0.9999), (5 * 10**307, 0.99), (8 * 10**307, 0.9)],
+    ids=["5e307-0.9999", "5e307-0.99", "8e307-0.9"],
+)
+@pytest.mark.parametrize("p", [0, 3, 30])
+def test_error_bar_where_log_q_bound_passes_the_doubles(m, radius, p):
+    # m log a is -inf at the first two, and the magnitudes summed in log Q's bound pass
+    # the largest double at the third; log Q is then near -1e308, so Q vanishes
+    got, rel, holds = check_against_mpmath(HYPERBOLIC, m, p, radius)
+    assert math.isfinite(got.abs_err) and holds, got
+    assert got.abs_err <= (4 * 2.0**-53) * got.value + 2.0**-1073
+
+
 def test_complement_with_long_product_of_wide_factors():
     # b >= 2^1022, so P's denominator multiplies 1531 factors of about 1050 bits,
     # which the balanced product forms in about a sixth of the sequential time;
