@@ -19,8 +19,8 @@ EXIT_USAGE = 2
 
 def _check_m(m):
     """m unchanged if it does not exceed the largest double; every layer computes with float(m)."""
-    if not m <= sys.float_info.max:
-        raise ValueError(f"m={m} exceeds the largest double {sys.float_info.max!r}")
+    if not m <= quadrature.DBL_MAX:
+        raise ValueError(f"m={m} exceeds the largest double {quadrature.DBL_MAX!r}")
     return m
 
 
@@ -165,8 +165,8 @@ def _suite_quadrature(args, rng) -> tuple[str, str]:
         for m in (100, 1000, 10_000, 100_000):
             radius = quadrature.truncation_radius(m)
             moments = [quadrature.lambda_inv_sq(geom, m, p, radius).value for p in range(5)]
-            log_boundary = m * geometry.log_bundle_weight(geom, radius)
-            log_boundary += 0.5 * geometry.log_metric_density(geom, radius)
+            _, log1p_w, log_a = geometry.log_conformal_factor(geom, radius)
+            log_boundary = m * log_a - log1p_w  # m log a + log g / 2
             for p in range(4):
                 boundary = math.exp(2 * (p + 1) * math.log(radius) + log_boundary)
                 expected = ((p + 1) * moments[p] - boundary) / (m - 0.5 * rho * p)

@@ -17,11 +17,12 @@ __all__ = [
     "metric_density",
     "log_metric_density",
     "log_bundle_weight",
-    "log_bundle_weight_from",
     "mixed_derivative",
     "curvature_residual",
     "polar_ode_residual",
 ]
+
+U = 2.0**-53  # unit roundoff of a double
 
 
 class ModelGeometry:
@@ -38,8 +39,8 @@ class ModelGeometry:
         self.max_radius = math.sqrt(self.c) * math.sqrt(self.scale) if rho < 0 else math.inf
 
 
-def log_conformal_factor(geom: ModelGeometry, r: float) -> tuple[float, float]:
-    """w = rho r^2 / 2 and log(1 + w) at radius r of the model disk.
+def log_conformal_factor(geom: ModelGeometry, r: float) -> tuple[float, float, float]:
+    """w = rho r^2 / 2, log(1 + w) and log a at radius r of the model disk.
 
     w halves r, since halving a subnormal rho drops its last bit; below w = -1/2,
     1 + w is formed exactly.
@@ -48,8 +49,12 @@ def log_conformal_factor(geom: ModelGeometry, r: float) -> tuple[float, float]:
         raise ValueError(f"radius {r!r} outside model disk of radius {geom.max_radius!r}")
     w = geom.rho * (0.5 * r) * r
     if w >= -0.5:
-        return w, math.log1p(w)
-    return w, math.log(1 + Fraction(geom.rho) * Fraction(r) ** 2 / 2)
+        log1p_w = math.log1p(w)
+    else:
+        log1p_w = math.log(1 + Fraction(geom.rho) * Fraction(r) ** 2 / 2)
+    if abs(w) < U:  # log a = -r^2 log1p(w) / w is -r^2 to within |w| / 2 < u / 2
+        return w, log1p_w, -r * r
+    return w, log1p_w, geom.c * log1p_w * geom.scale
 
 
 def log_metric_density(geom: ModelGeometry, r: float) -> float:
@@ -59,14 +64,7 @@ def log_metric_density(geom: ModelGeometry, r: float) -> float:
 
 def log_bundle_weight(geom: ModelGeometry, r: float) -> float:
     """log a at radius r; a = (1 + rho r^2 / 2)^(-2/rho), e^(-r^2) at rho=0."""
-    return log_bundle_weight_from(geom, r, *log_conformal_factor(geom, r))
-
-
-def log_bundle_weight_from(geom: ModelGeometry, r: float, w: float, log1p_w: float) -> float:
-    """log a at radius r from (w, log1p_w) = log_conformal_factor(geom, r)."""
-    if abs(w) < 2.0**-53:  # log a = -r^2 log1p(w) / w is -r^2 to within |w| / 2 < u / 2
-        return -r * r
-    return geom.c * log1p_w * geom.scale
+    return log_conformal_factor(geom, r)[2]
 
 
 def metric_density(geom: ModelGeometry, z: complex) -> float:

@@ -13,7 +13,7 @@ positive terms:
   P = p!/m^a or c^a p!/(b)_a exact and Q = e^-x sum_{k<=p} x^k/k! or
   (1-y)^b sum_{j<=p} (b)_j y^j/j!, taking 1 - Q as -expm1(log Q) and the
   boundary factor from the geometry, m log a(R) + log g(R)/2 (+ p log(1+u)),
-  both logs read from one log_conformal_factor; Q's sum stops once it proves
+  all three logs read from one log_conformal_factor; Q's sum stops once it proves
   Q > 1/2, and P's integers wait for Q <= 1/2, its powers of two (2d)^a and
   the denominator of 1 - Q joined in one shift before the one rounding;
 * lower series (DLMF 8.5.1, 8.17.8) elsewhere, in 50-digit decimals from the
@@ -37,31 +37,29 @@ from the first term, so no stretch of growing terms precedes its tail bound.
 
 Q's sum is held as s 2^scale with s >= 1/2 and is renormalized into [1/2, 1),
 as frexp would at every term, only where s reaches edge = 2^min(64, kl - 1 -
-scale), and once after the loop.  Let base be the boundary log and u = 2^-53.
-kl = floor(min(-base/log 2 (1 - 2^-50) - 2, 2^62)) is below every k >= 0 at
-which the exit's first test, base + k log 2 > -log 2, can hold in floats:
-fl(k log 2) <= k log 2 (1 + u), fl(-base/log 2) is within a relative u, and
-the two rounded steps that form kl fit in the 2^-50 = 8u and the -2 spared;
-at base > 0, kl < 0, and at base = -inf or |base| near 1e300 the min clamps
-before the floor.  The loop gives the bits of one renormalizing every term:
+scale), and once after the loop.  It returns what a loop renormalizing every
+term returns, wherever the exit test runs, by three facts:
 
 * exact scalings: at the start of each step its s and t are those of that
   loop times one 2^k, 0 <= k <= 64, so s + t and t times a ratio round to the
   same values times 2^k while that loop's t is normal.  Where it falls below
   2^-1022, 2^968 below ulp(s)/2, it is not the largest term, so a ratio before
   it was below 1; the ratios never grow at rho = 0 or b >= 1 and are below 1
-  where b < 1, so later terms shrink (up to 3u a step) and t stays below
-  ulp(s)/2 in both loops: s + t is then within half an ulp of s and rounds to s;
-* the same exit: where s < edge, that loop's scale is at most kl - 1 and the
-  first test fails.  At the first step where it could pass, s >= edge,
-  renormalizing gives the same s and scale, and the test runs as at every
-  term; the scale is then at least kl, so edge <= 1/2 <= s from there on and
-  every step renormalizes (as every step does where base > 0);
+  where b < 1, so later terms shrink (up to 3u a step, u = 2^-53) and t stays
+  below ulp(s)/2 in both loops: s + t is then within half an ulp of s and
+  rounds to s;
 * no overflow: each product starts from t <= s < 2^64.  At rho = 0 or b >= 1 the
   ratios x/j or (b + j - 1) y / j never increase (to within rounding), so a
   ratio above 2^960 at step j > 1 follows one at step j - 1, whose term, at
   least 2^959/j with the terms growing from t = s = 1, took s past 2^64 and
-  forced a renormalization to t < 1; where b < 1 every ratio is below y <= 1.
+  forced a renormalization to t < 1; where b < 1 every ratio is below y <= 1;
+* a passing exit test implies that the test after the loop returns None as
+  well (see stop in _complement), so an early exit changes no bit.
+
+kl and edge set only how soon the loop stops: kl = floor(min(-base/log 2 (1 -
+2^-50) - 2, 2^62)), base the boundary log, is below every scale at which the
+exit's first test, base + scale log 2 > -log 2, can hold in floats, so the loop
+leaves at the step where a test at every term would.
 
 abs_err is a proven bound: Higham's gamma_n = n u / (1 - n u), u = 2^-53,
 over the float roundings done (exp, log, log1p, expm1 within one ulp; where
@@ -80,12 +78,7 @@ from collections import namedtuple
 from decimal import Decimal
 from fractions import Fraction
 
-from .geometry import (
-    ModelGeometry,
-    log_bundle_weight_from,
-    log_conformal_factor,
-    log_metric_density,
-)
+from .geometry import U, ModelGeometry, log_conformal_factor, log_metric_density
 # Only the benchmark tracer (bench/spans.py) reads this name: it wraps it here.
 from .geometry import log_bundle_weight  # noqa: F401
 
@@ -98,7 +91,6 @@ __all__ = [
     "truncation_radius",
 ]
 
-U = 2.0**-53  # unit roundoff of a double
 TINY = 2.0**-1074  # covers the absolute error of two roundings below the normal range
 DBL_MIN = sys.float_info.min  # smallest normal double
 DBL_MAX = sys.float_info.max
@@ -124,17 +116,19 @@ G2, G6, G7, G8 = map(_gamma, (2, 6, 7, 8))  # the gamma_n that every complement 
 
 
 def _complement(geom: ModelGeometry, m: int, p: int, radius: float,
-                n: int, d: int, top: int) -> tuple[float, float] | None:
-    """P (1 - Q) and its bound in floats, or None where Q > 1/2; n/d = |rho|, top = n b > 0."""
-    w, log1p_w = log_conformal_factor(geom, radius)
+                top: int) -> tuple[float, float] | None:
+    """P (1 - Q) and its bound in floats, or None where Q > 1/2; top = n b > 0, n/d = |rho|."""
+    n, d = geom.n, geom.d
+    w, log1p_w, log_a = log_conformal_factor(geom, radius)
     u = max(w, 0.0)  # u, or 0 where rho <= 0
-    pieces = [m * log_bundle_weight_from(geom, radius, w, log1p_w), -log1p_w, p * math.log1p(u)]
+    pieces = [m * log_a, -log1p_w, p * max(log1p_w, 0.0)]  # p log(1 + u)
     b = top / n if top >> 1022 < n else None
     z = (abs(w) if b is not None else top / (2 * d) * (radius * radius)) / (1.0 + u)  # y or b y
     base = math.fsum(pieces)
     # Q's partial sums only grow: were the computed log Q at most -log 2, no computed
-    # partial log would pass it by 6.1u |base| + 5.8u, so one past stop proves Q > 1/2;
-    # the first test, without log s <= 0, is a cheap necessary one.
+    # partial log would pass it by 6.1u |base| + 5.8u, so one past stop proves Q > 1/2
+    # and that the test after the loop returns None too; the first test, without
+    # log s <= 0, is a cheap necessary one.
     stop = -LN2 + G8 * (abs(base) + 1.0)
     # The sum is s 2^scale, s >= 1/2, renormalized into [1/2, 1) only once s reaches edge,
     # below which the first test cannot hold; no scale below kl passes it (the module
@@ -272,11 +266,12 @@ def _binomial_piece(p: int, b: Fraction, lo: Fraction, h: Fraction) -> tuple[Dec
     return total, UD * weight * magnitude
 
 
-def _series(rho: float, p: int, radius: float, n: int, d: int, top: int) -> tuple[float, float]:
-    """Lower series, and beyond 1 - h the binomial piece, in decimals; n/d = |rho|, top = n b."""
+def _series(geom: ModelGeometry, p: int, radius: float, top: int) -> tuple[float, float]:
+    """Lower series, and beyond 1 - h the binomial piece, in decimals; top = n b, n/d = |rho|."""
+    n, d = geom.n, geom.d
     a = p + 1
     r2 = Fraction(radius) ** 2
-    cy = r2 / (1 + max(Fraction(rho), 0) * r2 / 2)  # c y = R^2 / (1 + u)
+    cy = r2 / (1 + max(Fraction(geom.rho), 0) * r2 / 2)  # c y = R^2 / (1 + u)
     y = n * cy / (2 * d)
     h = min(Fraction(1, 2), Fraction(8, a))
     z = min(y, 1 - h)
@@ -316,11 +311,9 @@ def lambda_inv_sq(geom: ModelGeometry, m: int, p: int, radius: float) -> RadialM
         raise ValueError(f"radius {radius!r} outside (0, {geom.max_radius!r})")
     if not math.isfinite(m * max(abs(geom.rho), 1.0) * radius * radius):  # x and u are doubles
         raise ValueError(f"radius {radius!r} too large for m={m} at rho={geom.rho!r}")
-    n, d = geom.n, geom.d
-    top = 2 * m * d + n * (-1 if geom.rho < 0 else 1 - p)  # |rho| b d, an exact integer
+    top = 2 * m * geom.d + geom.n * (-1 if geom.rho < 0 else 1 - p)  # |rho| b d, an exact integer
     try:
-        result = (top > 0 and _complement(geom, m, p, radius, n, d, top)
-                  or _series(geom.rho, p, radius, n, d, top))
+        result = top > 0 and _complement(geom, m, p, radius, top) or _series(geom, p, radius, top)
     except OverflowError:
         raise ValueError(
             f"moment at m={m}, p={p}, radius={radius!r} exceeds the double range"

@@ -1,4 +1,5 @@
 import math
+import random
 import sys
 
 import mpmath
@@ -9,6 +10,7 @@ from bergmanlab.geometry import (
     ModelGeometry,
     curvature_residual,
     log_bundle_weight,
+    log_conformal_factor,
     log_metric_density,
     metric_density,
     polar_ode_residual,
@@ -87,6 +89,39 @@ def test_log_weights_at_subnormal_range_rho(rho, r):
     # is worth up to 1 u of DBL_MIN; so the error is taken against max(|log g|, DBL_MIN)
     floor = max(abs(want_g), sys.float_info.min)
     assert abs(log_metric_density(geom, r) - want_g) <= 3 * 2.0**-53 * floor
+
+
+def _log_a_oracle(geom, r, w, log1p_w):
+    """log a from w = rho r^2 / 2 and log(1 + w), each branch written out."""
+    if abs(w) < 2.0**-53:  # log a = -r^2 log1p(w) / w is -r^2 to within |w| / 2 < u / 2
+        return -r * r
+    return geom.c * log1p_w * geom.scale
+
+
+# per branch of log a: rho, seeded radii, and the condition that puts r in that branch
+LOG_A_BRANCHES = {
+    "tiny-w": (-2.0, lambda rng, g: 10 ** rng.uniform(-200, -9),
+               lambda g, w: abs(w) < 2.0**-53),
+    "exact-1+w": (-0.7, lambda rng, g: g.max_radius * (1 - 10 ** rng.uniform(-15, -0.6)),
+                  lambda g, w: w < -0.5),
+    "subnormal-rho": (-5e-324, lambda rng, g: g.max_radius * 10 ** rng.uniform(-3, -1e-3),
+                      lambda g, w: g.scale == 2.0**64 and abs(w) >= 2.0**-53),
+    "subnormal-rho-sphere": (1e-310, lambda rng, g: 10 ** rng.uniform(155, 200),
+                             lambda g, w: g.scale == 2.0**64 and w >= 0.5),
+    "flat": (0.0, lambda rng, g: 10 ** rng.uniform(-10, 10), lambda g, w: w == 0.0),
+}
+
+
+@pytest.mark.parametrize("branch", LOG_A_BRANCHES)
+def test_conformal_factor_record_carries_log_a(branch):
+    rho, radius, reached = LOG_A_BRANCHES[branch]
+    geom, rng = ModelGeometry(rho), random.Random(branch)
+    for _ in range(200):
+        r = radius(rng, geom)
+        w, log1p_w, log_a = log_conformal_factor(geom, r)
+        assert reached(geom, w), (r, w)
+        assert log_a.hex() == _log_a_oracle(geom, r, w, log1p_w).hex(), r
+        assert log_bundle_weight(geom, r).hex() == log_a.hex(), r
 
 
 @pytest.mark.parametrize("rho", [-1e-308, -1e-320, -5e-324])
