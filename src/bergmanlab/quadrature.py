@@ -56,22 +56,23 @@ term returns, wherever the exit test runs, by three facts:
 * a passing exit test implies that the test after the loop returns None as
   well (see stop in _complement), so an early exit changes no bit.
 
-kl and edge set only how soon the loop stops: kl = floor(min(-base/log 2 (1 -
-2^-50) - 2, 2^62)), base the boundary log, is below every scale at which the
-exit's first test, base + scale log 2 > -log 2, can hold in floats, so the loop
-leaves at the step where a test at every term would.
+kl and edge, formed where the loop runs (p > 0), set only how soon it stops:
+kl = floor(min(-base/log 2 (1 - 2^-50) - 2, 2^62)), base the boundary log, is
+below every scale at which the exit's first test, base + scale log 2 > -log 2,
+can hold in floats, so the loop leaves at the step a test at every term would.
 
-abs_err is a proven bound: Higham's gamma_n = n u / (1 - n u), u = 2^-53,
-over the float roundings done (exp, log, log1p, expm1 within one ulp; where
-the magnitudes in log Q's bound pass the largest double, Q is shown to vanish), or
-10^-49 per decimal rounding against the magnitudes summed plus the series
-tail bounded geometrically, then the rounding to a double (2^-1075 more below
-the normal range).
+abs_err is a proven bound: Higham's gamma_n = n u / (1 - n u), u = 2^-53
+(gamma_(5p+2) formed in _complement), over the float roundings done (exp, log,
+log1p, expm1 within one ulp; where the magnitudes in log Q's bound pass the
+largest double, Q is shown to vanish), or 10^-49 per decimal rounding against
+the magnitudes summed plus the series tail bounded geometrically, then the
+rounding to a double (2^-1075 more below the normal range).
 """
 
 from __future__ import annotations
 
 import decimal
+import itertools
 import math
 import sys
 from collections import namedtuple
@@ -108,43 +109,41 @@ def truncation_radius(m: int) -> float:
     return math.log(m) / math.sqrt(m)
 
 
-def _gamma(n: float) -> float:
-    return n * U / (1.0 - n * U)
-
-
-G2, G6, G7, G8 = map(_gamma, (2, 6, 7, 8))  # the gamma_n that every complement takes
+G2, G4, G6, G7, G8 = (n * U / (1.0 - n * U) for n in (2, 4, 6, 7, 8))  # Higham's gamma_n
 
 
 def _complement(geom: ModelGeometry, m: int, p: int, radius: float,
-                top: int) -> tuple[float, float] | None:
+                top: int) -> RadialMoment | None:
     """P (1 - Q) and its bound in floats, or None where Q > 1/2; top = n b > 0, n/d = |rho|."""
     n, d = geom.n, geom.d
     w, log1p_w, log_a = log_conformal_factor(geom, radius)
-    u = max(w, 0.0)  # u, or 0 where rho <= 0
-    pieces = [m * log_a, -log1p_w, p * max(log1p_w, 0.0)]  # p log(1 + u)
+    abs_w, u = abs(w), w if w > 0.0 else 0.0  # u, or 0 where rho <= 0
+    m_log_a, half_log_g, p_log1p_u = m * log_a, -log1p_w, p * log1p_w if log1p_w > 0.0 else 0.0
     b = top / n if top >> 1022 < n else None
-    z = (abs(w) if b is not None else top / (2 * d) * (radius * radius)) / (1.0 + u)  # y or b y
-    base = math.fsum(pieces)
-    # Q's partial sums only grow: were the computed log Q at most -log 2, no computed
-    # partial log would pass it by 6.1u |base| + 5.8u, so one past stop proves Q > 1/2
-    # and that the test after the loop returns None too; the first test, without
-    # log s <= 0, is a cheap necessary one.
-    stop = -LN2 + G8 * (abs(base) + 1.0)
-    # The sum is s 2^scale, s >= 1/2, renormalized into [1/2, 1) only once s reaches edge,
-    # below which the first test cannot hold; no scale below kl passes it (the module
-    # docstring proves the bits are those of renormalizing every term).
-    kl = math.floor(min(-base / LN2 * (1.0 - 2.0**-50) - 2.0, 2.0**62))
+    z = (abs_w if b is not None else top / (2 * d) * (radius * radius)) / (1.0 + u)  # y or b y
+    base = math.fsum((m_log_a, half_log_g, p_log1p_u))
     t, s, scale = 1.0, 1.0, 0
-    edge = math.ldexp(1.0, min(64, kl - 1 - scale))
-    for j in range(1, p + 1):
-        t *= z / j if b is None else (b + j - 1) * z / j
-        s += t
-        if s >= edge:
-            s, e = math.frexp(s)
-            t, scale = math.ldexp(t, -e), scale + e
-            if base + scale * LN2 > -LN2 and base + math.log(s) + scale * LN2 > stop:
-                return None
-            edge = math.ldexp(1.0, min(64, kl - 1 - scale))
+    if p:
+        # Q's partial sums only grow: were the computed log Q at most -log 2, no computed
+        # partial log would pass it by 6.1u |base| + 5.8u, so one past stop proves Q > 1/2
+        # and that the test after the loop returns None too; the first test, without
+        # log s <= 0, is a cheap necessary one.
+        stop = -LN2 + G8 * (abs(base) + 1.0)
+        # The sum is s 2^scale, s >= 1/2, renormalized into [1/2, 1) only once s reaches edge,
+        # below which the first test cannot hold; no scale below kl passes it (the module
+        # docstring proves the bits are those of renormalizing every term).
+        kl = -base / LN2 * (1.0 - 2.0**-50) - 2.0
+        kl = math.floor(kl if kl < 2.0**62 else 2.0**62)
+        edge = math.ldexp(1.0, kl - 1 if kl < 65 else 64)
+        for j in range(1, p + 1):
+            t *= z / j if b is None else (b + j - 1) * z / j
+            s += t
+            if s >= edge:
+                s, e = math.frexp(s)
+                t, scale = math.ldexp(t, -e), scale + e
+                if base + scale * LN2 > -LN2 and base + math.log(s) + scale * LN2 > stop:
+                    return None
+                edge = math.ldexp(1.0, min(64, kl - 1 - scale))
     s, e = math.frexp(s)
     log_s = math.log(s) + (scale + e) * LN2
     log_q = base + log_s
@@ -155,10 +154,11 @@ def _complement(geom: ModelGeometry, m: int, p: int, radius: float,
     # (1 + p) |w|) / max(|w|, 1); the sum at arguments perturbed within gamma_7 by
     # the roundings of b, or of x and each factor's (j - 1)/b, its log by p times
     # that; its 5p + 2 roundings; the rest
-    w_err = 2.0 * G2 * (m * (radius * radius) + (1 + p) * abs(w)) / max(abs(w), 1.0)
+    w_err = 2.0 * G2 * (m * (radius * radius) + (1 + p) * abs_w) / (abs_w if abs_w > 1.0 else 1.0)
+    g = (5 * p + 2) * U  # gamma_(5p+2) = g / (1 - g), rounded as G2 to G8 are
     log_err = (
-        G6 * (math.fsum(map(abs, pieces)) + abs(log_s) + abs(log_q)) + w_err
-        + p * G7 + _gamma(5 * p + 2)
+        G6 * (math.fsum((abs(m_log_a), abs(half_log_g), p_log1p_u)) + abs(log_s) + abs(log_q))
+        + w_err + p * G7 + g / (1.0 - g)
     )
     if log_err > DBL_MAX:
         # The magnitudes passed the largest double, as -lead = -m log a does where
@@ -166,8 +166,8 @@ def _complement(geom: ModelGeometry, m: int, p: int, radius: float,
         # m log a <= 0 is off by at most G6 of itself plus w_err, the other terms by
         # at most their size plus their bounds, so log Q <= lead/2 + 3 rest < lead/8
         # < -746: Q vanishes, q_hi = e^log_q = 0 and 1 - Q is within expm1's rounding.
-        lead = max(pieces[0], -DBL_MAX)
-        rest = abs(pieces[1]) + abs(pieces[2]) + abs(log_s) + w_err + p * G7 + _gamma(5 * p + 2)
+        lead = max(m_log_a, -DBL_MAX)
+        rest = abs(half_log_g) + p_log1p_u + abs(log_s) + w_err + p * G7 + g / (1.0 - g)
         if not 8.0 * rest < -lead:
             raise OverflowError
         log_err = 0.0
@@ -180,7 +180,7 @@ def _complement(geom: ModelGeometry, m: int, p: int, radius: float,
     shift = (p + 1) * d.bit_length() - qd.bit_length() + 1
     # P is exact, so this is the one rounding
     value = (num << shift) / den if shift >= 0 else num / (den << -shift)
-    return value, value * (rel + U) * (1.0 + rel) * (1.0 + G8) + TINY
+    return RadialMoment(value, value * (rel + U) * (1.0 + rel) * (1.0 + G8) + TINY)
 
 
 def _rising_product(top: int, n: int, count: int) -> int:
@@ -231,9 +231,7 @@ def _lower_series(a: int, x: Decimal, z: Decimal) -> tuple[Decimal, int, Decimal
     most t q / (1 - q).
     """
     t = s = Decimal(1)
-    n = 0
-    while True:
-        n += 1
+    for n in itertools.count(1):
         ratio = (x + (a + n - 1) * z) / (a + n)
         q = max(ratio, z)
         if q < 1 and t * q / (1 - q) <= SERIES_TOL * s:
@@ -266,7 +264,7 @@ def _binomial_piece(p: int, b: Fraction, lo: Fraction, h: Fraction) -> tuple[Dec
     return total, UD * weight * magnitude
 
 
-def _series(geom: ModelGeometry, p: int, radius: float, top: int) -> tuple[float, float]:
+def _series(geom: ModelGeometry, p: int, radius: float, top: int) -> RadialMoment:
     """Lower series, and beyond 1 - h the binomial piece, in decimals; top = n b, n/d = |rho|."""
     n, d = geom.n, geom.d
     a = p + 1
@@ -293,15 +291,15 @@ def _series(geom: ModelGeometry, p: int, radius: float, top: int) -> tuple[float
             err += c_a * piece_err + UD * exact
     num, den = exact.as_integer_ratio()
     value = num / den  # correctly rounded
-    return value, (U * value + float(err)) * (1.0 + _gamma(4)) + TINY
+    return RadialMoment(value, (U * value + float(err)) * (1.0 + G4) + TINY)
 
 
 def lambda_inv_sq(geom: ModelGeometry, m: int, p: int, radius: float) -> RadialMoment:
     """2 * integral_0^R r^(2p+1) a(r)^m g(r) dr in closed form.
 
-    The complement route where top = n b > 0 and Q <= 1/2, the lower series
-    elsewhere (see the module docstring); abs_err is a proven bound on
-    |value - exact|.  A moment beyond the largest double raises ValueError.
+    The complement route where top = n b > 0 and Q <= 1/2, else the lower series
+    (module docstring); each returns the RadialMoment, whose abs_err is a proven
+    bound on |value - exact|.  A moment beyond the largest double raises ValueError.
     """
     if m < 2:
         raise ValueError("m must be >= 2")
@@ -309,16 +307,16 @@ def lambda_inv_sq(geom: ModelGeometry, m: int, p: int, radius: float) -> RadialM
         raise ValueError("p must be nonnegative")
     if not 0.0 < radius < geom.max_radius:
         raise ValueError(f"radius {radius!r} outside (0, {geom.max_radius!r})")
-    if not math.isfinite(m * max(abs(geom.rho), 1.0) * radius * radius):  # x and u are doubles
+    size = abs(geom.rho)  # where m max(|rho|, 1) R^2 is finite, x and u are doubles
+    if not math.isfinite(m * (size if size > 1.0 else 1.0) * radius * radius):
         raise ValueError(f"radius {radius!r} too large for m={m} at rho={geom.rho!r}")
     top = 2 * m * geom.d + geom.n * (-1 if geom.rho < 0 else 1 - p)  # |rho| b d, an exact integer
     try:
-        result = top > 0 and _complement(geom, m, p, radius, top) or _series(geom, p, radius, top)
+        return top > 0 and _complement(geom, m, p, radius, top) or _series(geom, p, radius, top)
     except OverflowError:
         raise ValueError(
             f"moment at m={m}, p={p}, radius={radius!r} exceeds the double range"
         ) from None
-    return RadialMoment(*result)
 
 
 def lambda0_log_tail(geom: ModelGeometry, m: int) -> float:

@@ -270,6 +270,33 @@ def test_flat_limit_is_continuous(m):
                 assert abs(mpmath.mpf(got.value) - exact) <= got.abs_err, (rho, p, x, got)
 
 
+CORNER_MS = (2, 10, 10**6, 10**300)
+CORNER_PS = (0, 1, 5, 40)
+
+
+@pytest.mark.parametrize("radius", [1e-170, 1e-162, 1e-9, 0.3])
+def test_negative_zero_rho_is_zero_rho_to_the_bit(radius):
+    # rho = -0.0 gives w = -0.0, whose sign reaches u, the boundary log's pieces and
+    # their sum; at R = 1e-170 and 1e-162, R^2 underflows and log a = -R^2 is -0.0
+    # too.  Neither sign moves a bit of the moment.
+    for m in CORNER_MS:
+        for p in CORNER_PS:
+            flat, neg = (lambda_inv_sq(ModelGeometry(rho), m, p, radius) for rho in (0.0, -0.0))
+            assert (repr(neg.value), repr(neg.abs_err)) == (repr(flat.value), repr(flat.abs_err)), (
+                m, p, neg, flat)
+
+
+@pytest.mark.parametrize("rho", [5e-324, -5e-324])
+def test_moment_where_w_underflows_holds_its_bar(rho):
+    # at the smallest subnormal |rho| and R = 1e-170, w = rho R^2 / 2 underflows to a
+    # zero of rho's sign, and R^2 itself to +0
+    for m in CORNER_MS:
+        for p in CORNER_PS:
+            got = lambda_inv_sq(ModelGeometry(rho), m, p, 1e-170)
+            err = abs(mpmath.mpf(got.value) - exact_moment(rho, m, p, 1e-170))
+            assert err <= got.abs_err, (m, p, got)
+
+
 def fuzz_inputs(seed, count):
     """Seeded (rho, m, p, radius) over the CLI's range of tiny to large |rho|.
 
