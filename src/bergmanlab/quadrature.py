@@ -56,15 +56,15 @@ term returns, wherever the exit test runs, by three facts:
 * a passing exit test implies that the test after the loop returns None as
   well (see stop in _complement), so an early exit changes no bit.
 
-kl and edge, formed where the loop runs (p > 0), set only how soon it stops:
-kl = floor(min(-base/log 2 (1 - 2^-50) - 2, 2^62)), base the boundary log, is
-below every scale at which the exit's first test, base + scale log 2 > -log 2,
-can hold in floats, so the loop leaves at the step a test at every term would.
+kl and edge, formed where the loop runs (p > 0), only set how soon it stops. kl
+= floor(min(-base/log 2 (1 - 2^-50) - 2, 2^62)), base the boundary log, is below
+each scale at which the one exit test, base + log s + scale log 2 > stop, holds
+in floats (log s <= 0, stop >= -log 2): it exits where a per-term test would.
 
 abs_err is a proven bound: Higham's gamma_n = n u / (1 - n u), u = 2^-53
 (gamma_(5p+2) formed in _complement), over the float roundings done (exp, log,
-log1p, expm1 within one ulp; where the magnitudes in log Q's bound pass the
-largest double, Q is shown to vanish), or 10^-49 per decimal rounding against
+log1p, expm1 within one ulp; past the largest double, a proof in _complement
+that Q vanishes settles log Q's bound), or 10^-49 per decimal rounding against
 the magnitudes summed plus the series tail bounded geometrically, then the
 rounding to a double (2^-1075 more below the normal range).
 """
@@ -126,11 +126,10 @@ def _complement(geom: ModelGeometry, m: int, p: int, radius: float,
     if p:
         # Q's partial sums only grow: were the computed log Q at most -log 2, no computed
         # partial log would pass it by 6.1u |base| + 5.8u, so one past stop proves Q > 1/2
-        # and that the test after the loop returns None too; the first test, without
-        # log s <= 0, is a cheap necessary one.
+        # and that the test after the loop returns None too.
         stop = -LN2 + G8 * (abs(base) + 1.0)
         # The sum is s 2^scale, s >= 1/2, renormalized into [1/2, 1) only once s reaches edge,
-        # below which the first test cannot hold; no scale below kl passes it (the module
+        # below which the exit test cannot hold; no scale below kl passes it (the module
         # docstring proves the bits are those of renormalizing every term).
         kl = -base / LN2 * (1.0 - 2.0**-50) - 2.0
         kl = math.floor(kl if kl < 2.0**62 else 2.0**62)
@@ -141,7 +140,7 @@ def _complement(geom: ModelGeometry, m: int, p: int, radius: float,
             if s >= edge:
                 s, e = math.frexp(s)
                 t, scale = math.ldexp(t, -e), scale + e
-                if base + scale * LN2 > -LN2 and base + math.log(s) + scale * LN2 > stop:
+                if base + math.log(s) + scale * LN2 > stop:
                     return None
                 edge = math.ldexp(1.0, min(64, kl - 1 - scale))
     s, e = math.frexp(s)
@@ -153,23 +152,23 @@ def _complement(geom: ModelGeometry, m: int, p: int, radius: float,
     # 1 + w near the disk's edge), times (2m/|rho| + 1 + p) min(|w|, 1) = (m R^2 +
     # (1 + p) |w|) / max(|w|, 1); the sum at arguments perturbed within gamma_7 by
     # the roundings of b, or of x and each factor's (j - 1)/b, its log by p times
-    # that; its 5p + 2 roundings; the rest
-    w_err = 2.0 * G2 * (m * (radius * radius) + (1 + p) * abs_w) / (abs_w if abs_w > 1.0 else 1.0)
+    # that; its 5p + 2 roundings; the rest.  w_err sums quarters, whose sum stays below
+    # 0.63 DBL_MAX where the whole can overflow (m R^2 max(|rho|, 1) <= DBL_MAX, 1 + p <
+    # 2m/rho + 2 at rho > 0); quartering is exact or w_err < 2^-1020 is lost in log_err.
+    w_err = 8.0 * G2 * (0.25 * m * (radius * radius) + 0.25 * (1 + p) * abs_w) / (
+        abs_w if abs_w > 1.0 else 1.0)
     g = (5 * p + 2) * U  # gamma_(5p+2) = g / (1 - g), rounded as G2 to G8 are
     log_err = (
         G6 * (math.fsum((abs(m_log_a), abs(half_log_g), p_log1p_u)) + abs(log_s) + abs(log_q))
         + w_err + p * G7 + g / (1.0 - g)
     )
     if log_err > DBL_MAX:
-        # The magnitudes passed the largest double, as -lead = -m log a does where
-        # 8 rest < -lead (m log a may be -inf, whose exact value is below -DBL_MAX).
-        # m log a <= 0 is off by at most G6 of itself plus w_err, the other terms by
-        # at most their size plus their bounds, so log Q <= lead/2 + 3 rest < lead/8
-        # < -746: Q vanishes, q_hi = e^log_q = 0 and 1 - Q is within expm1's rounding.
-        lead = max(m_log_a, -DBL_MAX)
-        rest = abs(half_log_g) + p_log1p_u + abs(log_s) + w_err + p * G7 + g / (1.0 - g)
-        if not 8.0 * rest < -lead:
-            raise OverflowError
+        # The G6 sum, below 2.01 (|m log a| + rest), passed the largest double and w_err
+        # < 2^-49 DBL_MAX did not, so -lead = min(-m log a, DBL_MAX) > DBL_MAX/2.01 - rest,
+        # where rest = |log g|/2 + p log(1 + u) + |log s| + w_err + p gamma_7 + gamma_(5p+2)
+        # < 1420 (p + 2) + 2^-49 DBL_MAX (Q's sum >= 1, its term ratios doubles): 8 rest <
+        # -lead below p = 10^300.  m log a is off by G6 of itself plus w_err, the others by
+        # their size plus their bounds: log Q <= lead/2 + 3 rest < lead/8 < -746, q_hi = 0.
         log_err = 0.0
     q_hi = math.exp(log_q + log_err)
     rel = q_hi / (1.0 - q_hi) * log_err + G2  # of 1 - Q, with expm1's rounding

@@ -7,8 +7,11 @@ Where b > 0 and Q <= 1/2 it is the finite complement P (1 - Q), exact and
 free of cancellation there; mpmath's betainc does not converge at large b y
 (rho = -10, m = 1e8, R = 0.1).  Elsewhere it is mpmath's gammainc or
 betainc.  Both are evaluated at 60 digits from the exact float inputs, plus
-the digits that 1 - y cancels at tiny |rho| R^2.  P takes (b)_a as a plain
-product: mpmath's rf returns 1.0 at 60 digits for b above about 1e125.
+|log10(|rho| R^2)| digits: those that 1 - y cancels at tiny |rho| R^2, and at
+huge |rho| R^2 those that keep y = u/(1 + u) below 1 (at 60 digits it rounds
+to 1 above u of about 1e60, and betainc returns inf on b <= 0 rows).  P takes
+(b)_a as a plain product: mpmath's rf returns 1.0 at 60 digits for b above
+about 1e125.
 """
 
 import mpmath
@@ -17,8 +20,8 @@ from mpmath import mpf
 
 def exact_moment(rho, m, p, radius):
     a = p + 1
-    y_digits = 0 if rho == 0 else -int(mpmath.log10(abs(mpf(rho)) * mpf(radius) ** 2))
-    with mpmath.workdps(60 + max(0, y_digits)):
+    y_digits = 0 if rho == 0 else abs(int(mpmath.log10(abs(mpf(rho)) * mpf(radius) ** 2)))
+    with mpmath.workdps(60 + y_digits):
         r2 = mpf(radius) ** 2
         if rho == 0:
             x = m * r2

@@ -397,6 +397,20 @@ def test_moment_beyond_double_range_exits_2_before_output(capsys):
     assert err.startswith("error:") and err.count("\n") == 1 and "double range" in err
 
 
+def test_finite_moments_near_the_radius_bound_exit_0(capsys):
+    # m R^2 max(rho, 1) = 8.8e307: the error term for the rounding of w once overflowed
+    # here and every row was refused as beyond the double range; p = 0 is 4/9
+    code, out, _ = run(["moments", "--rho", "0.5", "--m", "2", "--max-degree", "8",
+                        "--radius", "9.38e153"], capsys)
+    assert code == 0
+    rows = [line.split(",") for line in out.split()[1:]]
+    assert rows[0][:2] == ["0", "0.4444444444444444"]
+    assert rows[8][:2] == ["8", "29127.11111111111"]
+    for p, value, abs_err in rows:
+        exact = exact_moment(0.5, 2, int(p), 9.38e153)
+        assert abs(mpmath.mpf(value) - exact) <= mpmath.mpf(abs_err), (p, value, abs_err)
+
+
 @pytest.mark.parametrize(
     "rho, m, max_degree, radius",
     [

@@ -362,6 +362,22 @@ def assert_within_bar(rho, m, p, radius):
     assert holds, (rho, m, p, radius, got)
 
 
+@pytest.mark.parametrize("rho", [0.25, 0.5, 0.75, 0.999, 1.0, 2.0, 3.0])
+def test_no_finite_moment_refused_near_the_radius_bound(rho):
+    # The sum m R^2 + (1 + p) |w| in log Q's error bound for the rounding of w passed
+    # the largest double here, and a finite moment was refused as beyond the doubles
+    # (rho = 0.5, m = 2, p = 0..8 at R^2 = 8.8e307); summed in quarters it stays finite.
+    # At top = 0 (b = 0) y = u/(1 + u) is about 1 - 10^-307: the reference carries
+    # |log10(rho R^2)| extra digits, without which betainc returned inf there.
+    geom = ModelGeometry(rho)
+    for m in (2, 3, 5, 10):
+        for share in (0.99, 0.5, 0.1):
+            radius = math.sqrt(share * sys.float_info.max / (m * max(rho, 1.0)))
+            for p in range(41):
+                if 2 * m * geom.d + geom.n * (1 - p) >= 0:  # top >= 0
+                    assert_within_bar(rho, m, p, radius)
+
+
 def test_q_loop_near_zero_boundary_log():
     # small R at rho = -2 puts the boundary log near 0, above -log 2, where Q's sum
     # is renormalized and tested at every step; larger m R^2 takes it below.  At
