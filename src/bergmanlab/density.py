@@ -14,7 +14,6 @@ from .quadrature import lambda0_tail  # noqa: F401
 __all__ = [
     "DensityReport",
     "SweepResult",
-    "expansion_reference",
     "density_estimate",
     "cp1_density",
     "remainder_sweep",
@@ -27,11 +26,6 @@ __all__ = [
 DensityReport = namedtuple("DensityReport", "m rho density lo hi reference remainder budget_c")
 SweepResult = namedtuple("SweepResult", "reports fitted_c decay_violations")
 CSV_HEADER = ",".join(DensityReport._fields[:7])  # a CSV row is a report's first 7 fields
-
-
-def expansion_reference(m: int, rho: float) -> float:
-    """Leading terms of the density expansion: m + rho/2, exact arithmetic."""
-    return m + 0.5 * rho
 
 
 def remainder_envelope(m: int) -> float:
@@ -69,7 +63,7 @@ def density_estimate(
         raise ValueError(f"budget constant must be finite and nonnegative, got {budget_c!r}")
     if m < 10:
         raise ValueError("m must be >= 10")
-    reference = expansion_reference(m, geom.rho)
+    reference = m + 0.5 * geom.rho
     log_t = lambda0_log_tail(geom, m)
     t = math.exp(log_t)  # lambda0_tail(geom, m)
     lam0_sq = reference / (1.0 - t)
@@ -97,7 +91,7 @@ def cp1_density(m: int, z: complex) -> float:
     Basis z^k, k = 0..m, with exact Beta-integral norms
     lambda_k^-2 = k!(m-k)!/(m+1)!.  The terms are m + 1 times the
     Binomial(m, p) mass, p = s/(1+s), so they sum to the constant m + 1
-    (expansion_reference(m, 2)): the expansion with identically zero
+    (m + rho/2 at rho = 2): the expansion with identically zero
     remainder.  The sum is unchanged by z -> 1/z (k -> m - k), so s = |z|^2 is
     taken <= 1, which also keeps it inside the float range.
 

@@ -24,16 +24,15 @@ positive terms:
   binomial expansion of (1-s)^p over [1-y, h] (a log term at b + k = 0),
   whose alternating sum loses at most ((1+h)/(1-h))^p <= e^32 of the 50 digits.
 
-rho = 0 is b = infinity in both routes: at fixed x = b y, c^a B(y; a, b)
-tends to gamma(a, x) / m^a as b grows (DLMF 8.17, 8.2).  From b = 2^1022 on,
-each factor (b + j - 1) y / j of Q's sum is b y / j to within a relative
-(j - 1)/b < p 2^-1022, far below 2^-53, so the complement sums x^j/j! at
-x = b y = b |rho| R^2 / 2 / (1 + max(u, 0)) in floats; at rho = 0, x = m R^2
-and P = p!/m^a.  The lower series takes z = y = 0 there, c z = c y = R^2 and
-(1 - z)^b = e^-x, and is reached only where Q > 1/2, which takes x below about
-p + 1 (Q is then a Poisson distribution function of mean x, whose median is
-above x - log 2).  Its ratio (x + (a + n - 1) z) / (a + n) is then below 1
-from the first term, so no stretch of growing terms precedes its tail bound.
+rho = 0 is b = infinity in both routes: at fixed x = b y, c^a B(y; a, b) tends
+to gamma(a, x) / m^a as b grows (DLMF 8.17, 8.2).  From b = 2^1022 on, each
+factor (b + j - 1) y / j of Q's sum is b y / j to within a relative (j - 1)/b <
+p 2^-1022, far below 2^-53, so the complement sums x^j/j! at x = b y in floats
+(m R^2 at rho = 0, where P = p!/m^a).  The lower series takes z = y = 0 there,
+c z = c y = R^2 and (1 - z)^b = e^-x, and is reached only where Q > 1/2, which
+takes x below about p + 1 (Q is then a Poisson distribution function of mean x,
+whose median is above x - log 2).  Its ratio (x + (a + n - 1) z) / (a + n) is
+then below 1 from the first term: no growing terms precede its tail bound.
 
 Q's sum is held as s 2^scale with s >= 1/2 and is renormalized into [1/2, 1),
 as frexp would at every term, only where s reaches edge = 2^min(64, kl - 1 -
@@ -48,8 +47,12 @@ term returns, wherever the exit test runs, by three facts:
   where b < 1, so later terms shrink (up to 3u a step, u = 2^-53) and t stays
   below ulp(s)/2 in both loops: s + t is then within half an ulp of s and
   rounds to s;
-* no overflow: each product starts from t <= s < 2^64.  At rho = 0 or b >= 1 the
-  ratios x/j or (b + j - 1) y / j never increase (to within rounding), so a
+* no overflow: each product starts from t <= s < 2^64 and a finite ratio: y <= 1
+  below b = 2^1022, and from there x = fl(top/2d) (R R) / (1 + u) is at most the
+  m max(|rho|, 1) (R R) that lambda_inv_sq's gate holds to a double, since at p
+  >= 1, or at rho <= 0, top/2d <= m, so fl(top/2d) <= float(m); at p = 0 the
+  loop never reads x; 1 + u >= 1; and max(|rho|, 1) >= 1.  At rho = 0 or b >= 1
+  the ratios x/j or (b + j - 1) y / j never increase (to within rounding), so a
   ratio above 2^960 at step j > 1 follows one at step j - 1, whose term, at
   least 2^959/j with the terms growing from t = s = 1, took s past 2^64 and
   forced a renormalization to t < 1; where b < 1 every ratio is below y <= 1;
@@ -128,9 +131,7 @@ def _complement(geom: ModelGeometry, m: int, p: int, radius: float,
         # partial log would pass it by 6.1u |base| + 5.8u, so one past stop proves Q > 1/2
         # and that the test after the loop returns None too.
         stop = -LN2 + G8 * (abs(base) + 1.0)
-        # The sum is s 2^scale, s >= 1/2, renormalized into [1/2, 1) only once s reaches edge,
-        # below which the exit test cannot hold; no scale below kl passes it (the module
-        # docstring proves the bits are those of renormalizing every term).
+        # s 2^scale is renormalized only at edge, below which no exit test holds (module docstring)
         kl = -base / LN2 * (1.0 - 2.0**-50) - 2.0
         kl = math.floor(kl if kl < 2.0**62 else 2.0**62)
         edge = math.ldexp(1.0, kl - 1 if kl < 65 else 64)
@@ -153,7 +154,7 @@ def _complement(geom: ModelGeometry, m: int, p: int, radius: float,
     # (1 + p) |w|) / max(|w|, 1); the sum at arguments perturbed within gamma_7 by
     # the roundings of b, or of x and each factor's (j - 1)/b, its log by p times
     # that; its 5p + 2 roundings; the rest.  w_err sums quarters, whose sum stays below
-    # 0.63 DBL_MAX where the whole can overflow (m R^2 max(|rho|, 1) <= DBL_MAX, 1 + p <
+    # 0.63 DBL_MAX where the whole can overflow (m max(|rho|, 1) (R R) <= DBL_MAX, 1 + p <
     # 2m/rho + 2 at rho > 0); quartering is exact or w_err < 2^-1020 is lost in log_err.
     w_err = 8.0 * G2 * (0.25 * m * (radius * radius) + 0.25 * (1 + p) * abs_w) / (
         abs_w if abs_w > 1.0 else 1.0)
@@ -306,8 +307,8 @@ def lambda_inv_sq(geom: ModelGeometry, m: int, p: int, radius: float) -> RadialM
         raise ValueError("p must be nonnegative")
     if not 0.0 < radius < geom.max_radius:
         raise ValueError(f"radius {radius!r} outside (0, {geom.max_radius!r})")
-    size = abs(geom.rho)  # where m max(|rho|, 1) R^2 is finite, x and u are doubles
-    if not math.isfinite(m * (size if size > 1.0 else 1.0) * radius * radius):
+    size = abs(geom.rho)  # m max(|rho|, 1) (R R), R R first as the routes take it, bounds x and u
+    if not math.isfinite(m * (size if size > 1.0 else 1.0) * (radius * radius)):
         raise ValueError(f"radius {radius!r} too large for m={m} at rho={geom.rho!r}")
     top = 2 * m * geom.d + geom.n * (-1 if geom.rho < 0 else 1 - p)  # |rho| b d, an exact integer
     try:

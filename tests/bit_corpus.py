@@ -17,7 +17,11 @@ rewrites the record.  Only a change that alters bits on purpose does so, and it
 names the regimes whose digests moved.  The record was written from the source
 before the double-range refusal left quadrature._complement; the inputs whose
 moment that change answers (rho > 0 with m R^2 max(rho, 1) near the largest
-double) are in tests/test_quadrature.py, not here.
+double) are in tests/test_quadrature.py, not here.  The last of its 17 regimes
+(10,100 inputs), moment_double_range_edge, was appended once lambda_inv_sq's
+gate formed m max(|rho|, 1) (R R) as the b = infinity complement does: its
+inputs hold that product within 4 ulps below the largest double, where Q's sum
+starts from x above 2^1023; the other 16 entries kept their bytes.
 """
 
 from __future__ import annotations
@@ -68,9 +72,11 @@ def probed():
     seen = {}
 
     def complement(args, result):
-        geom, top = args[0], args[4]
+        geom, m, p, radius, top = args
         seen["complement"] = result
         seen["huge_b"] = top >> 1022 >= geom.n
+        if seen["huge_b"] and p:  # the Q loop ran on x = b y, formed as _complement forms it
+            seen["x"] = top / (2 * geom.d) * (radius * radius) / (1.0 + max(seen["w"], 0.0))
 
     def factor(args, result):
         seen["w"] = result[0]
@@ -184,6 +190,21 @@ def zero_row_inputs(rng):
         return rho, int(10.0 ** rng.uniform(0.4, 8.0)), p, radius
     m = int(10.0 ** rng.uniform(4.0, 6.0))
     return rho, m, rng.randrange(1500, 3000), quadrature.truncation_radius(m)
+
+
+def double_range_edge_inputs(rng):
+    """m (R R) within 4 ulps below the largest double, at rho = 0 or |rho| <= 1e-300, p >= 1."""
+    rho = rng.choice((0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1e-300, -1e-300))
+    # from m = 2^28 on, b >= 2^1022 and R is inside the disk at |rho| = 1e-300
+    m = int(2.0 ** rng.uniform(28.0 if abs(rho) == 1e-300 else 1.0, 60.0))
+    radius = math.sqrt(DBL_MAX / m)
+    while math.isfinite(m * (radius * radius)):  # to the least R past the largest double
+        radius = math.nextafter(radius, math.inf)
+    near, radius = [], math.nextafter(radius, 0.0)
+    while m * (radius * radius) >= DBL_MAX - 4 * 2.0**971:  # 2^971 is the last ulp
+        near.append(radius)
+        radius = math.nextafter(radius, 0.0)
+    return rho, m, rng.randrange(1, 41), rng.choice(near)
 
 
 def moment(args):
@@ -313,6 +334,9 @@ REGIMES = {
     "cp1_max_window": (
         500, max_window_inputs, sphere,
         lambda seen, args, out: out.startswith("ValueError") and "exceeds" in out,
+    ),
+    "moment_double_range_edge": (
+        500, double_range_edge_inputs, moment, lambda seen, args, out: seen.get("x", 0.0) > 2.0**1023
     ),
 }
 

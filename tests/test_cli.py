@@ -453,6 +453,19 @@ def test_moments_rejects_zero_radius(capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("rho", ["0", "-0.0", "5e-324", "1e-310"])
+def test_moments_refuses_a_radius_whose_m_r_squared_passes_the_doubles(rho):
+    # ((m R) R) rounds to the largest double and m (R R) to inf.  The gate forms the
+    # second, as Q's sum does: were it to pass, Q's first term would be inf, log Q NaN
+    # at rho = 0, and at rho = 1e-310 log(inf) would send the row to a Decimal series
+    # that overflows.
+    code, out, err = captured(["moments", f"--rho={rho}", "--m", "3", "--max-degree", "11",
+                               "--radius", "7.741001517595157e+153"])
+    assert code == 2
+    assert_one_error_line(out, err)
+    assert err == f"error: radius 7.741001517595157e+153 too large for m=3 at rho={float(rho)!r}\n"
+
+
 def test_verify_default_passes(capsys):
     code, stdout, _ = run(["verify"], capsys)
     assert code == 0

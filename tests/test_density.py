@@ -21,7 +21,6 @@ from bergmanlab.density import (
     SweepResult,
     cp1_density,
     density_estimate,
-    expansion_reference,
     remainder_envelope,
     remainder_sweep,
     sweep_to_csv,
@@ -33,13 +32,6 @@ from bergmanlab.quadrature import lambda0_log_tail, lambda0_tail, truncation_rad
 
 DATA = Path(__file__).parent / "data"
 MAX_M = int(sys.float_info.max)
-
-
-def test_expansion_reference_exact():
-    assert expansion_reference(100, -2.0) == 99.0
-    assert expansion_reference(7, 0.0) == 7.0
-    assert expansion_reference(10, 2.0) == 11.0
-    assert expansion_reference(10**3, 2.0) == 1001.0
 
 
 def test_density_estimate_flat():
@@ -76,6 +68,8 @@ def test_tail_refused_exactly_where_the_truncation_disk_leaves_the_model_disk():
 def test_density_estimate_references():
     assert density_estimate(ModelGeometry(2.0), 10**3, 0.0).reference == 1001.0
     assert density_estimate(ModelGeometry(-2.0), 10**2, 0.0).reference == 99.0
+    assert density_estimate(ModelGeometry(2.0), 10, 0.0).reference == 11.0
+    assert density_estimate(ModelGeometry(0.0), 10, 0.0).reference == 10.0
 
 
 def test_density_estimate_validation():
@@ -429,9 +423,7 @@ def test_cp1_constancy():
         for k in range(8):
             z = complex(0.3 * k - 1.0, 0.17 * k)
             assert cp1_density(m, z) == pytest.approx(m + 1.0, rel=1e-9)
-            assert cp1_density(m, z) == pytest.approx(
-                expansion_reference(m, 2.0), rel=1e-9
-            )
+            assert cp1_density(m, z) == pytest.approx(m + 0.5 * 2.0, rel=1e-9)
 
 
 def test_cp1_validation():
@@ -470,7 +462,7 @@ def gram_route_estimate(geom, m, budget_c, extra_degrees, steps=OUTWARD_STEPS):
 
     The interval ends are rounded to nearest and then moved steps outward.
     """
-    reference = expansion_reference(m, geom.rho)
+    reference = m + 0.5 * geom.rho
     t = lambda0_tail(geom, m)
     lam0_sq = reference / (1.0 - t)
     gram = assemble_truncated_gram(2 + len(extra_degrees), budget_c * remainder_envelope(m))

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import sys
 import time
 from pathlib import Path
@@ -376,6 +377,39 @@ def test_no_finite_moment_refused_near_the_radius_bound(rho):
             for p in range(41):
                 if 2 * m * geom.d + geom.n * (1 - p) >= 0:  # top >= 0
                     assert_within_bar(rho, m, p, radius)
+
+
+def test_moment_or_one_refusal_where_m_r_squared_meets_the_largest_double():
+    # m max(|rho|, 1) (R R) within a dozen ulps of the largest double, where ((m s) R) R
+    # and (m s) (R R) can round to opposite sides of it.  The gate must form the product
+    # the b = infinity complement forms: were Q's first term inf, log Q would be NaN, or
+    # log(inf) would send the row to a Decimal lower series that overflows.
+    rng = random.Random(32)
+    gate, beyond = re.compile(r"radius \S+ too large for m="), re.compile(r"exceeds the double range")
+    rhos = (0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1e-300, -1e-300, 0.25, 0.5, 1.0, 2.0,
+            3.0, 100.0, None)
+    outcomes = {"answered": 0, "refused": 0}
+    for _ in range(3000):
+        rho = rng.choice(rhos)
+        rho = rng.uniform(-3.0, 3.0) if rho is None else rho
+        m, p = int(2.0 ** rng.uniform(1.0, 60.0)), rng.randrange(41)
+        if rho == -1e-300:  # R inside the disk, of radius sqrt(2e300)
+            m += 10**8
+        radius = math.sqrt(sys.float_info.max / (m * max(abs(rho), 1.0)))
+        k = rng.randrange(-6, 7)  # ulps of R
+        for _ in range(abs(k)):
+            radius = math.nextafter(radius, math.inf if k > 0 else 0.0)
+        if not radius < ModelGeometry(rho).max_radius:
+            continue
+        try:
+            got = lambda_inv_sq(ModelGeometry(rho), m, p, radius)
+        except ValueError as exc:
+            assert gate.match(str(exc)) or beyond.search(str(exc)), (rho, m, p, radius, exc)
+            outcomes["refused"] += 1
+            continue
+        assert math.isfinite(got.value) and math.isfinite(got.abs_err), (rho, m, p, radius, got)
+        outcomes["answered"] += 1
+    assert min(outcomes.values()) > 500, outcomes
 
 
 def test_q_loop_near_zero_boundary_log():
