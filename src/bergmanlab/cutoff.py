@@ -106,6 +106,8 @@ def psi_hessian_bound_check(m: int, p_prime: int, profile) -> float:
     and the flat-region bound -coeff: an upper bound on the infimum, not a proof, since
     for "c1" the infimum, the limit at t = 3/4 from above, is about 1.7% lower.
     """
+    if m < 2:
+        raise ValueError("m must be >= 2")
     log_m = math.log(m)
     kappa = m / log_m**2
     coeff = -100.0 * m * (1 + 2 * p_prime) / log_m**2 / math.tau

@@ -81,8 +81,8 @@ def density_estimate(
     hi = step(step(step(step(step(step(lam0_sq + half, up), up), up), up), up), up)
     if not math.isfinite(hi):  # lo >= -hi, so lo is a double too
         raise ValueError(f"--budget-c {budget_c!r} puts the interval at m={m} beyond the doubles")
-    # positional: a namedtuple takes keywords at about twice the cost
-    return DensityReport(m, geom.rho, lam0_sq, lo, hi, reference, tail, budget_c)
+    # tuple.__new__ is the C constructor that the namedtuple's Python __new__ calls
+    return tuple.__new__(DensityReport, (m, geom.rho, lam0_sq, lo, hi, reference, tail, budget_c))
 
 
 def cp1_density(m: int, z: complex) -> float:

@@ -135,8 +135,10 @@ def _complement(geom: ModelGeometry, m: int, p: int, radius: float,
         kl = -base / LN2 * (1.0 - 2.0**-50) - 2.0
         kl = math.floor(kl if kl < 2.0**62 else 2.0**62)
         edge = math.ldexp(1.0, kl - 1 if kl < 65 else 64)
-        for j in range(1, p + 1):
-            t *= z / j if b is None else (b + j - 1) * z / j
+        j = 0.0  # a float: below 2^53, b + j - 1.0 and z / j round as with an int j
+        for _ in range(p):
+            j += 1.0
+            t *= z / j if b is None else (b + j - 1.0) * z / j
             s += t
             if s >= edge:
                 s, e = math.frexp(s)
@@ -180,7 +182,8 @@ def _complement(geom: ModelGeometry, m: int, p: int, radius: float,
     shift = (p + 1) * d.bit_length() - qd.bit_length() + 1
     # P is exact, so this is the one rounding
     value = (num << shift) / den if shift >= 0 else num / (den << -shift)
-    return RadialMoment(value, value * (rel + U) * (1.0 + rel) * (1.0 + G8) + TINY)
+    # tuple.__new__ is the C constructor that the namedtuple's Python __new__ calls
+    return tuple.__new__(RadialMoment, (value, value * (rel + U) * (1.0 + rel) * (1.0 + G8) + TINY))
 
 
 def _rising_product(top: int, n: int, count: int) -> int:
@@ -291,7 +294,8 @@ def _series(geom: ModelGeometry, p: int, radius: float, top: int) -> RadialMomen
             err += c_a * piece_err + UD * exact
     num, den = exact.as_integer_ratio()
     value = num / den  # correctly rounded
-    return RadialMoment(value, (U * value + float(err)) * (1.0 + G4) + TINY)
+    # tuple.__new__ is the C constructor that the namedtuple's Python __new__ calls
+    return tuple.__new__(RadialMoment, (value, (U * value + float(err)) * (1.0 + G4) + TINY))
 
 
 def lambda_inv_sq(geom: ModelGeometry, m: int, p: int, radius: float) -> RadialMoment:
@@ -299,7 +303,7 @@ def lambda_inv_sq(geom: ModelGeometry, m: int, p: int, radius: float) -> RadialM
 
     The complement route where top = n b > 0 and Q <= 1/2, else the lower series
     (module docstring); each returns the RadialMoment, whose abs_err is a proven
-    bound on |value - exact|.  A moment beyond the largest double raises ValueError.
+    bound on |value - exact|.  An m or a moment beyond the largest double raises ValueError.
     """
     if m < 2:
         raise ValueError("m must be >= 2")
@@ -308,10 +312,10 @@ def lambda_inv_sq(geom: ModelGeometry, m: int, p: int, radius: float) -> RadialM
     if not 0.0 < radius < geom.max_radius:
         raise ValueError(f"radius {radius!r} outside (0, {geom.max_radius!r})")
     size = abs(geom.rho)  # m max(|rho|, 1) (R R), R R first as the routes take it, bounds x and u
-    if not math.isfinite(m * (size if size > 1.0 else 1.0) * (radius * radius)):
-        raise ValueError(f"radius {radius!r} too large for m={m} at rho={geom.rho!r}")
     top = 2 * m * geom.d + geom.n * (-1 if geom.rho < 0 else 1 - p)  # |rho| b d, an exact integer
-    try:
+    try:  # the gate's m * ... raises OverflowError where m passes the largest double
+        if not math.isfinite(m * (size if size > 1.0 else 1.0) * (radius * radius)):
+            raise ValueError(f"radius {radius!r} too large for m={m} at rho={geom.rho!r}")
         return top > 0 and _complement(geom, m, p, radius, top) or _series(geom, p, radius, top)
     except OverflowError:
         raise ValueError(

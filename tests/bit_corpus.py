@@ -17,17 +17,24 @@ rewrites the record.  Only a change that alters bits on purpose does so, and it
 names the regimes whose digests moved.  The record was written from the source
 before the double-range refusal left quadrature._complement; the inputs whose
 moment that change answers (rho > 0 with m R^2 max(rho, 1) near the largest
-double) are in tests/test_quadrature.py, not here.  The last of its 17 regimes
-(10,100 inputs), moment_double_range_edge, was appended once lambda_inv_sq's
+double) are in tests/test_quadrature.py, not here.  The 17th of its regimes
+(10,100 inputs then), moment_double_range_edge, was appended once lambda_inv_sq's
 gate formed m max(|rho|, 1) (R R) as the b = infinity complement does: its
 inputs hold that product within 4 ulps below the largest double, where Q's sum
-starts from x above 2^1023; the other 16 entries kept their bytes.
+starts from x above 2^1023; the other 16 entries kept their bytes.  The 18th
+(10,600 inputs in all), moment_table_shared_geometry, was generated from the
+source before log_conformal_factor kept its last (r, record) on the ModelGeometry,
+and that change kept its digest: tables p = 0..k through one geometry per rho, two
+interleaved, whose reached count is the calls at the radius of the previous
+log_conformal_factor call on the same geometry; the other 17 entries kept their bytes.
 """
 
 from __future__ import annotations
 
 import cmath
 import hashlib
+import inspect
+import itertools
 import json
 import math
 import random
@@ -78,8 +85,12 @@ def probed():
         if seen["huge_b"] and p:  # the Q loop ran on x = b y, formed as _complement forms it
             seen["x"] = top / (2 * geom.d) * (radius * radius) / (1.0 + max(seen["w"], 0.0))
 
+    last = {}  # each geometry's radius at its last log_conformal_factor call
+
     def factor(args, result):
-        seen["w"] = result[0]
+        geom, r = args
+        seen["w"], seen["same_radius"] = result[0], last.get(geom) == r
+        last[geom] = r
 
     def log_tail(args, result):
         seen["log_t"] = result
@@ -207,10 +218,53 @@ def double_range_edge_inputs(rng):
     return rho, m, rng.randrange(1, 41), rng.choice(near)
 
 
+def shared_table_inputs(rng):
+    """Moment tables p = 0..k, k <= 12, through one ModelGeometry per rho, two at a time.
+
+    Each table takes R near log m / sqrt m, near the disk's edge (the exact 1 + w
+    below w = -1/2 at rho = -2) or 1e-170 (|w| < 2^-53); the second table of a pair
+    is on the first one's geometry half the time, and the two are interleaved at
+    random, and now and then a call is preceded by one on its geometry at a refused
+    radius.  Yields (geom, m, p, radius) forever.
+    """
+    geoms = {}  # by rho.hex(), so that 0.0 and -0.0 keep their own geometries
+
+    def table(rho):
+        geom = geoms.setdefault(rho.hex(), ModelGeometry(rho))
+        m = int(10.0 ** rng.uniform(0.4, 8.0))
+        kind = rng.randrange(3)
+        if kind == 0:
+            radius = _near_truncation(rng, rho, m)
+        elif kind == 1:  # below 1 where the disk is the plane
+            edge = geom.max_radius if rho < 0 else 1.0
+            radius = min(edge * (1.0 - 10.0 ** rng.uniform(-16.0, -0.6)), math.nextafter(edge, 0.0))
+        else:
+            radius = 1e-170
+        return [(geom, m, p, radius) for p in range(rng.randrange(13) + 1)]
+
+    def rho_draw():  # -2.0 twice: its disk's edge holds the exact 1 + w
+        return rng.choice((-2.0, -0.7, 0.0, 0.3, 2.0, rng.uniform(-3.0, 3.0), -0.0,
+                           5e-324, -5e-324, 1e-310, 0.5, -2.0))
+
+    while True:
+        first = table(rho_draw())
+        second = table(first[0][0].rho if rng.random() < 0.5 else rho_draw())
+        while first or second:
+            source = first if not second or first and rng.random() < 0.5 else second
+            geom, m, p, radius = source.pop(0)
+            if rng.random() < 0.05:
+                yield geom, m, p, rng.choice((0.0, -radius, math.inf, math.nan, geom.max_radius))
+            yield geom, m, p, radius
+
+
+def shared_moment(args):
+    got = quadrature.lambda_inv_sq(*args)  # geom, m, p, radius
+    return f"{got.value.hex()} {got.abs_err.hex()}"
+
+
 def moment(args):
     rho, m, p, radius = args
-    got = quadrature.lambda_inv_sq(ModelGeometry(rho), m, p, radius)
-    return f"{got.value.hex()} {got.abs_err.hex()}"
+    return shared_moment((ModelGeometry(rho), m, p, radius))
 
 
 def complement_route(seen, args, out):
@@ -338,6 +392,10 @@ REGIMES = {
     "moment_double_range_edge": (
         500, double_range_edge_inputs, moment, lambda seen, args, out: seen.get("x", 0.0) > 2.0**1023
     ),
+    "moment_table_shared_geometry": (
+        500, shared_table_inputs, shared_moment,
+        lambda seen, args, out: seen.get("same_radius", False),
+    ),
 }
 
 
@@ -345,10 +403,11 @@ def run(name):
     """(count, reached, digests) of one regime, its outputs hashed in blocks of BLOCK."""
     count, inputs, output, reached = REGIMES[name]
     rng = random.Random(name)
+    # a generator function yields a stream of inputs; any other draws one input per call
+    draws = inputs(rng) if inspect.isgeneratorfunction(inputs) else iter(lambda: inputs(rng), None)
     outs, hits = [], 0
     with probed() as seen:
-        for _ in range(count):
-            args = inputs(rng)
+        for args in itertools.islice(draws, count):
             seen.clear()
             try:
                 out = output(args)

@@ -133,6 +133,13 @@ def test_psi_hessian_bound_flat_region(profile, m):
     assert psi_hessian_bound_check(m, 2, profile) == pytest.approx(float(bound), rel=1e-14, abs=0)
 
 
+@pytest.mark.parametrize("m", [1, 1.0, 0, -5])
+def test_psi_hessian_bound_refuses_m_below_two(m):
+    # log m is 0 at m = 1 and undefined below
+    with pytest.raises(ValueError, match="m must be >= 2"):
+        psi_hessian_bound_check(m, 2, C1_PROFILE)
+
+
 # Margins of the closed form, pinned bit for bit.
 @pytest.mark.parametrize(
     "profile, m, p_prime, expected",

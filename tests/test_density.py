@@ -45,6 +45,14 @@ def test_density_estimate_flat():
     assert rep.lo <= rep.density <= rep.hi
 
 
+def test_density_estimate_returns_a_density_report():
+    # built with tuple.__new__, which skips the namedtuple's arity check
+    rep = density_estimate(ModelGeometry(-0.7), 1000, 1.0)
+    assert type(rep) is DensityReport and len(rep) == len(DensityReport._fields) == 8
+    assert rep == (rep.m, rep.rho, rep.density, rep.lo, rep.hi, rep.reference, rep.remainder,
+                   rep.budget_c)
+
+
 def test_tail_refused_exactly_where_the_truncation_disk_leaves_the_model_disk():
     # rho within 6 ulps of -2m/(log m)^2, where x = rho (log m)^2 / 2m rounds
     # near -1: wherever R = log m / sqrt m is inside the disk the tail is

@@ -124,6 +124,38 @@ def test_conformal_factor_record_carries_log_a(branch):
         assert log_bundle_weight(geom, r).hex() == log_a.hex(), r
 
 
+# scale 2^64 at +-5e-324 and 1e-310; the exact 1 + w below w = -1/2 near rho = -2's edge
+SHARED_RHOS = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 0.5, -2.0]
+
+
+def _factor_bits(geom, r):
+    try:
+        return [x.hex() for x in log_conformal_factor(geom, r)]
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@pytest.mark.parametrize("rho", SHARED_RHOS)
+def test_stored_record_matches_a_fresh_geometry(rho):
+    # geom.last serves repeated radii; a refused radius between two equal ones
+    # leaves it, and |w| < 2^-53 at r = 1e-170 and w < -1/2 at rho = -2 come back too
+    edge = ModelGeometry(rho).max_radius
+    near = [0.9, 1.0 - 1e-9, math.nextafter(1.0, 0.0)] if rho == -2.0 else [3.0]
+    refused = [-0.3, math.nan, math.inf, edge if math.isfinite(edge) else 1e300]
+    shared = ModelGeometry(rho)
+    for r in [0.3, 0.3, 1e-170, *near, 1e-170, 0.3]:
+        for radius in (r, *refused, r, r):
+            assert _factor_bits(shared, radius) == _factor_bits(ModelGeometry(rho), radius), radius
+
+
+@pytest.mark.parametrize("rho", SHARED_RHOS)
+@pytest.mark.parametrize("order", [(0.0, -0.0), (-0.0, 0.0)], ids=["plus-first", "minus-first"])
+def test_signed_zero_radius_shares_its_record(rho, order):
+    shared = ModelGeometry(rho)
+    for r in order:
+        assert _factor_bits(shared, r) == _factor_bits(ModelGeometry(rho), r)
+
+
 @pytest.mark.parametrize("rho", [-1e-308, -1e-320, -5e-324])
 def test_max_radius_where_two_over_rho_overflows(rho):
     with mpmath.workdps(40):

@@ -599,5 +599,51 @@ def test_validation_errors():
         lambda_inv_sq(FLAT, 10**10, 2, 1e150)  # m R^2 beyond it
 
 
+@pytest.mark.parametrize("rho", [0.0, 0.5, -2.0])
+@pytest.mark.parametrize("m", [2**1024, 10**400], ids=["2^1024", "10^400"])
+def test_m_past_the_largest_double_is_refused(m, rho):
+    with pytest.raises(ValueError, match="exceeds the double range"):
+        lambda_inv_sq(ModelGeometry(rho), m, 0, 0.1)
+
+
+def _moment_bits(geom, m, p, radius):
+    try:
+        got = lambda_inv_sq(geom, m, p, radius)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+    return got.value.hex(), got.abs_err.hex()
+
+
+@pytest.mark.parametrize("rho", [0.0, -0.0, 5e-324, -5e-324, 1e-310, 0.5, -2.0])
+def test_shared_geometry_tables_match_fresh_geometries(rho):
+    # tables p = 0..12 at log m / sqrt m, near rho = -2's edge (w < -1/2) and at
+    # R = 1e-170 (|w| < 2^-53), two at one radius with different m, interleaved on
+    # one geometry, with another radius (refused but for 2.0 at rho >= 0) between equal ones
+    near = 1.0 - 1e-9 if rho == -2.0 else 0.9
+    tables = [[(m, p, radius) for p in range(13)] for m, radius in (
+        (1000, truncation_radius(1000)), (10**6, truncation_radius(10**6)),
+        (50, 1e-170), (10**5, 1e-170), (30, near))]
+    rng = random.Random(rho.hex())
+    shared = ModelGeometry(rho)
+    while tables:
+        table = rng.choice(tables)
+        m, p, radius = table.pop(0)
+        if not table:
+            tables.remove(table)
+        radii = [radius]
+        if rng.random() < 0.2:
+            radii += [rng.choice((0.0, -radius, math.nan, 2.0)), radius]
+        for r in radii:
+            assert _moment_bits(shared, m, p, r) == _moment_bits(ModelGeometry(rho), m, p, r), r
+
+
+def test_routes_return_radial_moments():
+    # built with tuple.__new__, which skips the namedtuple's arity check
+    for m, p, radius in ((100, 3, 0.2), (5, 40, 3.0)):  # complement, then the lower series
+        got = lambda_inv_sq(SPHERE, m, p, radius)
+        assert type(got) is quadrature.RadialMoment and len(got) == 2
+        assert got == (got.value, got.abs_err)
+
+
 if __name__ == "__main__":
     sys.stdout.write(bench_domain_csv() if sys.argv[1:] == ["bench"] else cli_domain_csv())
