@@ -63,8 +63,8 @@ def density_estimate(
         raise ValueError(f"budget constant must be finite and nonnegative, got {budget_c!r}")
     if m < 10:
         raise ValueError("m must be >= 10")
+    log_t = lambda0_log_tail(geom, m)  # first: it refuses an m past the largest double
     reference = m + 0.5 * geom.rho
-    log_t = lambda0_log_tail(geom, m)
     t = math.exp(log_t)  # lambda0_tail(geom, m)
     lam0_sq = reference / (1.0 - t)
     if t >= DBL_MIN:
@@ -112,13 +112,16 @@ def cp1_density(m: int, z: complex) -> float:
     k0 - m p in (-1, 0] and the rounding of x; so each side cuts less than
     2^-65 (m + 1).  The 2j + 1 <= 19 sigma + 66 terms are fixed before the walk
     starts, and a window above MAX_WINDOW terms (about 1.5 s on a 2-core Intel
-    Xeon) raises ValueError.
+    Xeon) raises ValueError, as does an m past the largest double.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     r = abs(z)
     s = (1.0 / r if r > 1.0 else r) ** 2
-    var = m * s / (1.0 + s) ** 2  # sigma^2 = m p q
+    try:  # m * s raises OverflowError where m passes the largest double
+        var = m * s / (1.0 + s) ** 2  # sigma^2 = m p q
+    except OverflowError:
+        raise ValueError(f"m={m} exceeds the double range") from None
     # sqrt(L) sqrt(L/9 + 2 sigma^2) is sqrt(L^2/9 + 2 L sigma^2), finite for every double m
     j = int(_L / 3 + math.sqrt(_L) * math.sqrt(_L / 9 + 2 * var)) + 2
     if 2 * j + 1 > MAX_WINDOW:

@@ -13,9 +13,9 @@ positive terms:
   P = p!/m^a or c^a p!/(b)_a exact and Q = e^-x sum_{k<=p} x^k/k! or
   (1-y)^b sum_{j<=p} (b)_j y^j/j!, taking 1 - Q as -expm1(log Q) and the
   boundary factor from the geometry, m log a(R) + log g(R)/2 (+ p log(1+u)),
-  all three logs read from one log_conformal_factor; Q's sum stops once it proves
-  Q > 1/2, and P's integers wait for Q <= 1/2, its powers of two (2d)^a and
-  the denominator of 1 - Q joined in one shift before the one rounding;
+  all three logs read from one log_conformal_factor; Q's sum stops once its
+  terms round away, and P's integers wait for Q <= 1/2, its powers of two
+  (2d)^a and the denominator of 1 - Q joined in one shift before the one rounding;
 * lower series (DLMF 8.5.1, 8.17.8) elsewhere, in 50-digit decimals from the
   exact rational c y = R^2/(1+max(u, 0)), y = (n/2d) c y and x = b z,
   z = min(y, 1 - h), h = min(1/2, 8/a): (c z)^a (1-z)^b/a sum_n t_n, t_0 = 1,
@@ -34,19 +34,16 @@ takes x below about p + 1 (Q is then a Poisson distribution function of mean x,
 whose median is above x - log 2).  Its ratio (x + (a + n - 1) z) / (a + n) is
 then below 1 from the first term: no growing terms precede its tail bound.
 
-Q's sum is held as s 2^scale with s >= 1/2 and is renormalized into [1/2, 1),
-as frexp would at every term, only where s reaches edge = 2^min(64, kl - 1 -
-scale), and once after the loop.  It returns what a loop renormalizing every
-term returns, wherever the exit test runs, by three facts:
+Q's sum is held as s 2^scale with s >= 1/2, renormalized into [1/2, 1) as
+frexp would at every term only where s reaches 2^64, and once after the loop.
+It stops at p or at the first term t with s + t == s, and returns what a loop
+renormalizing every term and running to p returns, by three facts (u = 2^-53):
 
-* exact scalings: at the start of each step its s and t are those of that
-  loop times one 2^k, 0 <= k <= 64, so s + t and t times a ratio round to the
-  same values times 2^k while that loop's t is normal.  Where it falls below
-  2^-1022, 2^968 below ulp(s)/2, it is not the largest term, so a ratio before
-  it was below 1; the ratios never grow at rho = 0 or b >= 1 and are below 1
-  where b < 1, so later terms shrink (up to 3u a step, u = 2^-53) and t stays
-  below ulp(s)/2 in both loops: s + t is then within half an ulp of s and
-  rounds to s;
+* exact scalings, up to the stop: at the start of each step its s and t are
+  those of that loop times one 2^k, 0 <= k <= 64, so s + t, the test s + t ==
+  s and t times a ratio come out the same times 2^k while that loop's t is
+  normal: before the stop t >= ulp(s)/2 >= 2^-55 there (s >= 1/2), and a
+  product below 2^-1022 there is below ulp(s)/2 in both loops, and stops both;
 * no overflow: each product starts from t <= s < 2^64 and a finite ratio: y <= 1
   below b = 2^1022, and from there x = fl(top/2d) (R R) / (1 + u) is at most the
   m max(|rho|, 1) (R R) that lambda_inv_sq's gate holds to a double, since at p
@@ -56,13 +53,13 @@ term returns, wherever the exit test runs, by three facts:
   ratio above 2^960 at step j > 1 follows one at step j - 1, whose term, at
   least 2^959/j with the terms growing from t = s = 1, took s past 2^64 and
   forced a renormalization to t < 1; where b < 1 every ratio is below y <= 1;
-* a passing exit test implies that the test after the loop returns None as
-  well (see stop in _complement), so an early exit changes no bit.
-
-kl and edge, formed where the loop runs (p > 0), only set how soon it stops. kl
-= floor(min(-base/log 2 (1 - 2^-50) - 2, 2^62)), base the boundary log, is below
-each scale at which the one exit test, base + log s + scale log 2 > stop, holds
-in floats (log s <= 0, stop >= -log 2): it exits where a per-term test would.
+* the stop returns the full loop's s: up to the largest term the terms grow,
+  so t >= s/(j + 1) > ulp(s)/2 while j < 2^52 (any p whose p! can be formed).
+  Past it no computed ratio exceeds 1: at b = infinity fl(z/j) <= 1 once j >=
+  z; where b < 1 each rounding of (b + j - 1.0) z / j stays at or below 1;
+  where b >= 1 a computed ratio above 1 needs an exact ratio above 1 - 3u, as
+  then are all before it, which holds t within (1 - 6u)^j of the largest term,
+  above ulp(s)/2.  So every term after the first that rounds away does too.
 
 abs_err is a proven bound: Higham's gamma_n = n u / (1 - n u), u = 2^-53
 (gamma_(5p+2) formed in _complement), over the float roundings done (exp, log,
@@ -108,8 +105,11 @@ RadialMoment = namedtuple("RadialMoment", "value abs_err")
 
 
 def truncation_radius(m: int) -> float:
-    """The peak-section truncation radius log(m)/sqrt(m)."""
-    return math.log(m) / math.sqrt(m)
+    """The peak-section truncation radius log(m)/sqrt(m); m past the doubles raises ValueError."""
+    try:  # sqrt(m) raises OverflowError where m passes the largest double
+        return math.log(m) / math.sqrt(m)
+    except OverflowError:
+        raise ValueError(f"m={m} exceeds the double range") from None
 
 
 G2, G4, G6, G7, G8 = (n * U / (1.0 - n * U) for n in (2, 4, 6, 7, 8))  # Higham's gamma_n
@@ -126,26 +126,16 @@ def _complement(geom: ModelGeometry, m: int, p: int, radius: float,
     z = (abs_w if b is not None else top / (2 * d) * (radius * radius)) / (1.0 + u)  # y or b y
     base = math.fsum((m_log_a, half_log_g, p_log1p_u))
     t, s, scale = 1.0, 1.0, 0
-    if p:
-        # Q's partial sums only grow: were the computed log Q at most -log 2, no computed
-        # partial log would pass it by 6.1u |base| + 5.8u, so one past stop proves Q > 1/2
-        # and that the test after the loop returns None too.
-        stop = -LN2 + G8 * (abs(base) + 1.0)
-        # s 2^scale is renormalized only at edge, below which no exit test holds (module docstring)
-        kl = -base / LN2 * (1.0 - 2.0**-50) - 2.0
-        kl = math.floor(kl if kl < 2.0**62 else 2.0**62)
-        edge = math.ldexp(1.0, kl - 1 if kl < 65 else 64)
-        j = 0.0  # a float: below 2^53, b + j - 1.0 and z / j round as with an int j
-        for _ in range(p):
-            j += 1.0
-            t *= z / j if b is None else (b + j - 1.0) * z / j
-            s += t
-            if s >= edge:
-                s, e = math.frexp(s)
-                t, scale = math.ldexp(t, -e), scale + e
-                if base + math.log(s) + scale * LN2 > stop:
-                    return None
-                edge = math.ldexp(1.0, min(64, kl - 1 - scale))
+    j = 0.0  # a float: below 2^53, b + j - 1.0 and z / j round as with an int j
+    for _ in range(p):
+        j += 1.0
+        t *= z / j if b is None else (b + j - 1.0) * z / j
+        if s + t == s:  # so do all later terms (module docstring)
+            break
+        s += t
+        if s >= 2.0**64:
+            s, e = math.frexp(s)
+            t, scale = math.ldexp(t, -e), scale + e
     s, e = math.frexp(s)
     log_s = math.log(s) + (scale + e) * LN2
     log_q = base + log_s
@@ -327,19 +317,22 @@ def lambda0_log_tail(geom: ModelGeometry, m: int) -> float:
     """log of lambda0_tail: (-1 - 2m/rho) log1p(x), x = rho (log m)^2 / 2m, or -(log m)^2.
 
     Where x is below the normal range or 2m/rho overflows, it is -(log m)^2,
-    to within a relative O(x).
+    to within a relative O(x).  An m past the largest double raises ValueError.
     """
     if m < 2:
         raise ValueError("m must be >= 2")
     log_m = math.log(m)
     rho = geom.rho
+    try:  # / m raises OverflowError where m passes the largest double
+        x = 0.5 * rho * log_m * log_m / m
+    except OverflowError:
+        raise ValueError(f"m={m} exceeds the double range") from None
     # truncation_radius(m) < R, from the log at hand; the disk is the plane at rho >= 0
     if rho < 0 and not log_m / math.sqrt(m) < geom.max_radius:
         raise ValueError(
             f"m={m} is too small for rho={rho!r}: the truncation disk leaves the model disk "
             f"of radius {geom.max_radius!r}"
         )
-    x = 0.5 * rho * log_m * log_m / m
     if math.isinf(x):  # rho (log m)^2 / 2 passed the largest double before the division
         x = 0.5 * rho / m * log_m * log_m
     if abs(x) < DBL_MIN or not math.isfinite(2.0 * m / rho):  # rho = 0 stops at x

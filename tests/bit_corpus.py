@@ -27,6 +27,10 @@ source before log_conformal_factor kept its last (r, record) on the ModelGeometr
 and that change kept its digest: tables p = 0..k through one geometry per rho, two
 interleaved, whose reached count is the calls at the radius of the previous
 log_conformal_factor call on the same geometry; the other 17 entries kept their bytes.
+The 19th (11,100 inputs in all), moment_q_sum_stops, was generated from the source
+before Q's sum in _complement stopped at its first term that rounds away: rows that
+Q > 1/2 declines, whose reached count is those with p >= 2x + 60, x = b y as the
+probe forms it; the other 18 entries kept their bytes.
 """
 
 from __future__ import annotations
@@ -82,7 +86,7 @@ def probed():
         geom, m, p, radius, top = args
         seen["complement"] = result
         seen["huge_b"] = top >> 1022 >= geom.n
-        if seen["huge_b"] and p:  # the Q loop ran on x = b y, formed as _complement forms it
+        if p:  # the Q loop ran on x = b y, formed as _complement forms it at b >= 2^1022
             seen["x"] = top / (2 * geom.d) * (radius * radius) / (1.0 + max(seen["w"], 0.0))
 
     last = {}  # each geometry's radius at its last log_conformal_factor call
@@ -257,6 +261,36 @@ def shared_table_inputs(rng):
             yield geom, m, p, radius
 
 
+def q_sum_stops_inputs(rng):
+    """Rows that Q > 1/2 declines, most with terms that round away before the p-th.
+
+    x = b y from 1e-300 to 1e4 with p >= 2x + 60, at rho with b = infinity or
+    uniform rho; rho > 0 with b < 2^-48 and y within 2^-40 of 1, where the first
+    term is near ulp(1)/2; and p a few sqrt(x) above x, near the largest term.
+    """
+    kind = rng.randrange(4)
+    if kind == 2:  # b = c/n, c = 2 m d - n (p - 1) > 0 of rho = n/d, whose 2/rho bounds the least b
+        p = rng.randrange(61, 200)
+        rho = 2.0 ** rng.uniform(50.0, 62.0)
+        n, d = rho.as_integer_ratio()
+        c = (-n * (p - 1)) % (2 * d) or 2 * d
+        room = (n * 2.0**-48 - c) / (2 * d)  # steps of 2d that keep b below 2^-48
+        if room > 1.0:
+            c += 2 * d * (int(2.0 ** rng.uniform(0.0, math.log2(room + 1.0))) - 1)
+        m = (n * (p - 1) + c) // (2 * d)
+        return rho, m, p, math.sqrt(2.0 * 2.0 ** rng.uniform(40.0, 60.0) / rho)  # u = rho R^2 / 2
+    rho = rng.choice((0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, rng.uniform(-3.0, 3.0)))
+    if kind == 3:
+        x = 10.0 ** rng.uniform(0.0, 4.0)
+        p = math.ceil(x + rng.uniform(0.0, 4.0) * math.sqrt(x))
+    else:
+        x = 10.0 ** rng.uniform(-300.0 if kind else -3.0, 4.0)
+        p = math.ceil(2.0 * x + 60.0) + rng.randrange(40)
+    lo = max(10.0, 2.0 * abs(rho) * (p + 1))  # b = 2m/rho + 1 - p > m/rho at rho > 0
+    m = int(lo * 10.0 ** rng.uniform(0.0, 3.0))
+    return rho, m, p, _inside(rng, rho, math.sqrt(x / m))  # b y near m R^2 = x
+
+
 def shared_moment(args):
     got = quadrature.lambda_inv_sq(*args)  # geom, m, p, radius
     return f"{got.value.hex()} {got.abs_err.hex()}"
@@ -395,6 +429,11 @@ REGIMES = {
     "moment_table_shared_geometry": (
         500, shared_table_inputs, shared_moment,
         lambda seen, args, out: seen.get("same_radius", False),
+    ),
+    "moment_q_sum_stops": (
+        500, q_sum_stops_inputs, moment,
+        lambda seen, args, out: "complement" in seen and seen["complement"] is None
+        and args[2] >= 2.0 * seen["x"] + 60.0,
     ),
 }
 

@@ -588,6 +588,21 @@ def test_remainder_sweep_hyperbolic():
         assert abs(rep.remainder) <= result.fitted_c * remainder_envelope(rep.m)
 
 
+@pytest.mark.parametrize("rho", [0.0, 0.5, -2.0])
+@pytest.mark.parametrize("m", [2**1024, 10**400], ids=["2^1024", "10^400"])
+def test_library_calls_refuse_m_past_the_largest_double(m, rho):
+    geom = ModelGeometry(rho)
+    for call in (
+        lambda: density_estimate(geom, m, 1.0),
+        lambda: cp1_density(m, complex(0.5, rho)),
+        lambda: lambda0_log_tail(geom, m),
+        lambda: truncation_radius(m),
+        lambda: remainder_sweep(rho, [m], 1.0),
+    ):
+        with pytest.raises(ValueError, match="exceeds the double range"):
+            call()
+
+
 def test_remainder_sweep_empty():
     result = remainder_sweep(0.0, [], 0.0)
     assert result.reports == ()

@@ -413,8 +413,8 @@ def test_moment_or_one_refusal_where_m_r_squared_meets_the_largest_double():
 
 
 def test_q_loop_near_zero_boundary_log():
-    # small R at rho = -2 puts the boundary log near 0, above -log 2, where Q's sum
-    # is renormalized and tested at every step; larger m R^2 takes it below.  At
+    # small R at rho = -2 puts the boundary log near 0, above -log 2, where the one
+    # test after Q's sum declines the row; larger m R^2 takes it below.  At
     # rho = 3 - 2^-51, m = p = 3, b = 2m/rho - 2 is 3e-16 and the boundary log,
     # exactly -b log(1 + u), rounds to +8.9e-16 at R = 3.
     for radius in (1e-9, 1e-5, 1e-3, 0.01, 0.1):
@@ -428,7 +428,7 @@ def test_q_loop_near_zero_boundary_log():
 @pytest.mark.parametrize("x", [650.0, 700.0, 705.0, 709.0, 720.0, 1100.0])
 def test_q_loop_past_many_edges(x):
     # at rho = 0, p = 1000, terms x^j/j! reach e^x: the sum passes 2^64 many times
-    # before its scale nears -log of the boundary factor, where Q > 1/2 exits
+    # and its scale nears -log of the boundary factor, where Q crosses 1/2
     assert_within_bar(0.0, 10**6, 1000, math.sqrt(x / 10**6))
 
 
@@ -443,8 +443,8 @@ def test_q_loop_with_huge_ratios(m, radius):
 @pytest.mark.parametrize("rho", [0.0, -0.5, 0.7])
 @pytest.mark.parametrize("p", [5, 20, 100])
 def test_q_loop_exit_matches_mpmath_q(rho, p, monkeypatch):
-    # x = b y straddles p, where Q crosses 1/2 and the loop's exit test fires: the
-    # lower series is taken exactly where mpmath's Q exceeds 1/2
+    # x = b y straddles p, where Q crosses 1/2 and the test after the loop decides:
+    # the lower series is taken exactly where mpmath's Q exceeds 1/2
     series = []
 
     def recorded(*args):
@@ -489,6 +489,40 @@ def test_one_conformal_factor_per_moment(monkeypatch):
         lambda_inv_sq(ModelGeometry(rng.uniform(-2.0, 2.0)), m, rng.randrange(11),
                       truncation_radius(m))
     assert len(calls) == 200 and not series
+
+
+class _CountingMath:
+    """The math module, with its log calls counted."""
+
+    logs = 0
+
+    def __getattr__(self, name):
+        return getattr(math, name)
+
+    def log(self, x):
+        self.logs += 1
+        return math.log(x)
+
+
+@pytest.mark.parametrize("rho, m, p", [
+    (-0.7, 1000, 40), (2.0, 10**6, 3000), (0.0, 10, 3000), (-2.0, 10, 3000),
+    (-1.0, 20149411, 10),  # op 1000 of the bench's moments workload at seed 1
+])
+def test_complement_takes_one_log_per_call(rho, m, p, monkeypatch):
+    # Q's sum takes no log, whatever p: the one log is of s after the loop
+    counting, logs = _CountingMath(), []
+    complement = quadrature._complement
+
+    def counted(*args):
+        before = counting.logs
+        result = complement(*args)
+        logs.append(counting.logs - before)
+        return result
+
+    monkeypatch.setattr(quadrature, "math", counting)
+    monkeypatch.setattr(quadrature, "_complement", counted)
+    lambda_inv_sq(ModelGeometry(rho), m, p, truncation_radius(m))
+    assert logs == [1]
 
 
 @pytest.mark.parametrize("top, n", [(1, 1), (2**1050 + 3, 7), (10**6, 0)],
