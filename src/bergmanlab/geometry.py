@@ -27,7 +27,8 @@ U = 2.0**-53  # unit roundoff of a double
 
 class ModelGeometry:
     """The curvature rho, n/d = |rho| exactly, the exponent -2/rho of a, and its disk's radius;
-    last holds the (r, record) of its last log_conformal_factor call that passed the disk test."""
+    last holds the (r, record) of its last log_conformal_factor call that passed the disk test,
+    row the last moment row that quadrature's complement answered, for the next degree to resume."""
 
     def __init__(self, rho: float) -> None:
         if not math.isfinite(rho):
@@ -39,6 +40,7 @@ class ModelGeometry:
             self.c, self.scale = -2.0 / (rho * 2.0**64), 2.0**64
         self.max_radius = math.sqrt(self.c) * math.sqrt(self.scale) if rho < 0 else math.inf
         self.last = (math.nan, None)  # NaN equals no radius
+        self.row = None
 
 
 def log_conformal_factor(geom: ModelGeometry, r: float) -> tuple[float, float, float]:

@@ -61,6 +61,19 @@ renormalizing every term and running to p returns, by three facts (u = 2^-53):
   then are all before it, which holds t within (1 - 6u)^j of the largest term,
   above ulp(s)/2.  So every term after the first that rounds away does too.
 
+Consecutive degrees at one (m, R) share their work: geom.row keeps the last
+answered row's (m, R, p), its p!, its den_p = prod_{k<=p} (top + n k), and Q's
+(t, s, scale, j), j = infinity once the sum stopped.  Row p, after row p - 1 at
+the same (m, R) on the same geometry, takes p! = (p - 1)! p and den_p = den_(p-1)
+(top + n p) at rho <= 0, where top = 2md - n (2md at rho = 0) does not depend on
+p, or den_p = top_p den_(p-1) at rho > 0, where top_p = top_(p-1) - n.  At rho <= 0
+b = top/n and z (y = |w|, or x = (top/2d) R^2) do not depend on p either, so Q's
+sum takes its p-th step from row p - 1's state, or none once stopped (by the third
+fact all later terms round away).  The integers are exact and the steps are a
+fresh loop's, in its order.  The state is a function of (rho, m, R, p), and only
+an answered row writes it (a declined row clears it), so every call returns the
+same bits in any order of calls.
+
 abs_err is a proven bound: Higham's gamma_n = n u / (1 - n u), u = 2^-53
 (gamma_(5p+2) formed in _complement), over the float roundings done (exp, log,
 log1p, expm1 within one ulp; past the largest double, a proof in _complement
@@ -117,29 +130,37 @@ G2, G4, G6, G7, G8 = (n * U / (1.0 - n * U) for n in (2, 4, 6, 7, 8))  # Higham'
 
 def _complement(geom: ModelGeometry, m: int, p: int, radius: float,
                 top: int) -> RadialMoment | None:
-    """P (1 - Q) and its bound in floats, or None where Q > 1/2; top = n b > 0, n/d = |rho|."""
+    """P (1 - Q) and its bound in floats, or None where Q > 1/2; top = n b > 0, n/d = |rho|.
+
+    geom.row is (m, R, p, p!, den_p, Q's (t, s, scale, j)) of the last row answered
+    here, or None after a declined row; row p at its (m, R) resumes row p - 1 from it.
+    """
     n, d = geom.n, geom.d
+    row = geom.row
+    resume = row is not None and row[2] == p - 1 and row[1] == radius and row[0] == m
     w, log1p_w, log_a = log_conformal_factor(geom, radius)
     abs_w, u = abs(w), w if w > 0.0 else 0.0  # u, or 0 where rho <= 0
     m_log_a, half_log_g, p_log1p_u = m * log_a, -log1p_w, p * log1p_w if log1p_w > 0.0 else 0.0
     b = top / n if top >> 1022 < n else None
     z = (abs_w if b is not None else top / (2 * d) * (radius * radius)) / (1.0 + u)  # y or b y
     base = math.fsum((m_log_a, half_log_g, p_log1p_u))
-    t, s, scale = 1.0, 1.0, 0
-    j = 0.0  # a float: below 2^53, b + j - 1.0 and z / j round as with an int j
-    for _ in range(p):
+    # j is a float: below 2^53, b + j - 1.0 and z / j round as with an int j
+    t, s, scale, j = row[5] if resume and geom.rho <= 0 else (1.0, 1.0, 0, 0.0)
+    while j < p:
         j += 1.0
         t *= z / j if b is None else (b + j - 1.0) * z / j
-        if s + t == s:  # so do all later terms (module docstring)
+        if s + t == s:  # so do all later terms (module docstring), of later rows too
+            j = math.inf
             break
         s += t
         if s >= 2.0**64:
             s, e = math.frexp(s)
             t, scale = math.ldexp(t, -e), scale + e
-    s, e = math.frexp(s)
-    log_s = math.log(s) + (scale + e) * LN2
+    frac, e = math.frexp(s)
+    log_s = math.log(frac) + (scale + e) * LN2
     log_q = base + log_s
     if log_q > -LN2:
+        geom.row = None
         return None
     # log Q: the boundary log; log(1 + w) moved by the rounding of w (or of the exact
     # 1 + w near the disk's edge), times (2m/|rho| + 1 + p) min(|w|, 1) = (m R^2 +
@@ -166,8 +187,12 @@ def _complement(geom: ModelGeometry, m: int, p: int, radius: float,
     q_hi = math.exp(log_q + log_err)
     rel = q_hi / (1.0 - q_hi) * log_err + G2  # of 1 - Q, with expm1's rounding
     qn, qd = (-math.expm1(log_q)).as_integer_ratio()
-    num = math.factorial(p) * qn
-    den = _rising_product(top, n, p + 1)  # top + n k for k < a
+    if resume:  # top_p = top_(p-1) - n at rho > 0
+        fact, den = row[3] * p, row[4] * (top if geom.rho > 0 else top + n * p)
+    else:
+        fact, den = math.factorial(p), _rising_product(top, n, p + 1)  # top + n k for k < a
+    geom.row = m, radius, p, fact, den, (t, s, scale, j)
+    num = fact * qn
     # (2d)^a / qd, d and qd being powers of two, as one shift
     shift = (p + 1) * d.bit_length() - qd.bit_length() + 1
     # P is exact, so this is the one rounding

@@ -30,7 +30,11 @@ log_conformal_factor call on the same geometry; the other 17 entries kept their 
 The 19th (11,100 inputs in all), moment_q_sum_stops, was generated from the source
 before Q's sum in _complement stopped at its first term that rounds away: rows that
 Q > 1/2 declines, whose reached count is those with p >= 2x + 60, x = b y as the
-probe forms it; the other 18 entries kept their bytes.
+probe forms it; the other 18 entries kept their bytes.  The 20th (11,600 inputs in
+all), moment_degree_runs, was generated from the source before _complement resumed
+row p from row p - 1 at one (m, R): runs of degrees on shared geometries, broken and
+resumed, whose reached count is the rows whose previous call on their geometry was
+p - 1 at the same (m, R); the other 19 entries kept their bytes.
 """
 
 from __future__ import annotations
@@ -43,6 +47,7 @@ import json
 import math
 import random
 import sys
+import weakref
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -291,6 +296,79 @@ def q_sum_stops_inputs(rng):
     return rho, m, p, _inside(rng, rho, math.sqrt(x / m))  # b y near m R^2 = x
 
 
+def degree_run_inputs(rng):
+    """Runs of consecutive degrees p on one (m, R) of a shared geometry, broken and resumed.
+
+    A run starts at p <= 30, with R near log m / sqrt m, near the disk's edge at
+    rho = -2 (w < -1/2), or where x = b y nears the run's degrees, so that rows Q > 1/2
+    declines follow rows it answers; rho = -1e-300 takes m with b >= 2^1022.  Between two
+    rows of a run come, now and then: the same p again, p - 1 or p + 2 next, a row at
+    the same R with another m or at the same m with another R, a declined row, a refused
+    radius, or a few rows of another run on the same geometry.  Yields (geom, m, p, radius)
+    forever.
+    """
+    geoms = {}  # by rho.hex(), so that 0.0 and -0.0 keep their own geometries
+
+    def start(rho):
+        rho = rng.uniform(-3.0, 3.0) if rho is None else rho
+        geom = geoms.setdefault(rho.hex(), ModelGeometry(rho))
+        m = int(10.0 ** (rng.uniform(7.5, 9.0) if rho == -1e-300 else rng.uniform(0.4, 8.0)))
+        p, kind = rng.randrange(31), rng.randrange(3)
+        if kind == 0 and rho == -2.0:
+            radius = min(1.0 - 10.0 ** rng.uniform(-16.0, -0.6), math.nextafter(1.0, 0.0))
+        elif kind == 1:
+            radius = _inside(rng, rho, math.sqrt((p + rng.randrange(1, 20)) / m))
+        else:
+            radius = _near_truncation(rng, rho, m)
+        return geom, m, p, radius
+
+    def declined(geom):
+        m, p = int(10.0 ** rng.uniform(1.0, 6.0)), rng.randrange(1, 40)
+        return geom, m, p, _inside(rng, geom.rho, math.sqrt((p + 1) * rng.uniform(0.05, 0.9) / m))
+
+    while True:
+        rho = rng.choice((0.0, -0.0, 5e-324, -5e-324, -1e-300, -2.0, -2.0, -0.7, 0.3, 2.0, None))
+        geom, m, p, radius = start(rho)
+        for _ in range(rng.randrange(4, 30)):
+            yield geom, m, p, radius
+            event = rng.randrange(14)
+            if event == 0:  # the same p again
+                continue
+            if event == 1:
+                p = max(p - 1, 0)
+                continue
+            if event == 2:
+                p += 2
+                continue
+            if event == 3:  # the same R, another m
+                yield geom, m + 1 if m == 2 else m + rng.choice((-1, 1, m)), p + 1, radius
+            elif event == 4:  # the same m, another R
+                other = rng.choice((math.nextafter(radius, 0.0), radius * rng.uniform(0.5, 1.0)))
+                yield geom, m, p + 1, other
+            elif event == 5:
+                yield declined(geom)
+            elif event == 6:
+                yield geom, m, p + 1, rng.choice((0.0, -radius, math.inf, math.nan, geom.max_radius))
+            elif event == 7:  # a few rows of another run on this geometry
+                _, other_m, other_p, other_radius = start(geom.rho)
+                for other_p in range(other_p, other_p + rng.randrange(1, 4)):
+                    yield geom, other_m, other_p, other_radius
+            p += 1
+
+
+def degree_run_reached():
+    """reached(seen, args, out): whether the previous call on args' geometry was p - 1 at its (m, R)."""
+    previous = weakref.WeakKeyDictionary()  # each geometry's (m, R, p) at its previous call
+
+    def reached(seen, args, out):
+        geom, m, p, radius = args
+        hit = previous.get(geom) == (m, radius, p - 1)
+        previous[geom] = m, radius, p
+        return hit
+
+    return reached
+
+
 def shared_moment(args):
     got = quadrature.lambda_inv_sq(*args)  # geom, m, p, radius
     return f"{got.value.hex()} {got.abs_err.hex()}"
@@ -435,6 +513,7 @@ REGIMES = {
         lambda seen, args, out: "complement" in seen and seen["complement"] is None
         and args[2] >= 2.0 * seen["x"] + 60.0,
     ),
+    "moment_degree_runs": (500, degree_run_inputs, shared_moment, degree_run_reached()),
 }
 
 

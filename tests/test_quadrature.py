@@ -492,9 +492,9 @@ def test_one_conformal_factor_per_moment(monkeypatch):
 
 
 class _CountingMath:
-    """The math module, with its log calls counted."""
+    """The math module, with its log and factorial calls counted."""
 
-    logs = 0
+    logs = factorials = 0
 
     def __getattr__(self, name):
         return getattr(math, name)
@@ -502,6 +502,10 @@ class _CountingMath:
     def log(self, x):
         self.logs += 1
         return math.log(x)
+
+    def factorial(self, x):
+        self.factorials += 1
+        return math.factorial(x)
 
 
 @pytest.mark.parametrize("rho, m, p", [
@@ -669,6 +673,58 @@ def test_shared_geometry_tables_match_fresh_geometries(rho):
             radii += [rng.choice((0.0, -radius, math.nan, 2.0)), radius]
         for r in radii:
             assert _moment_bits(shared, m, p, r) == _moment_bits(ModelGeometry(rho), m, p, r), r
+
+
+@pytest.mark.parametrize("rho", [0.0, -0.0, 5e-324, -1e-300, -2.0, -0.7, 0.3, 2.0])
+def test_degree_runs_in_any_order_match_fresh_geometries(rho):
+    # a run of degrees at one (m, R), broken and resumed: p again, p - 1 and p + 2 next,
+    # rows at the same R with m + 1 or at the same m one ulp lower in R, a row that Q > 1/2
+    # declines to the lower series, refused radii between rows of the run, and a second
+    # run at x = b y near 5 that passes from the complement to declined rows; b >= 2^1022
+    # at rho = -1e-300, and w < -1/2 at rho = -2
+    m = 10**8 if rho == -1e-300 else 1000
+    radius = 0.75 if rho == -2.0 else truncation_radius(m)
+    low = math.sqrt(5.0 / m)
+    rows = [(m, p, radius) for p in (0, 1, 2, 2, 1, 2, 4, 5)]
+    rows += [(m + 1, 6, radius), (m, 6, radius), (m, 7, math.nextafter(radius, 0.0)),
+             (m, 7, radius), (m, 8, radius), (m, 30, low), (m, 9, radius), (m, 10, 0.0),
+             (m, 10, radius), (m, 11, math.nan), (m, 11, radius), (m, 12, -radius)]
+    rows += [(m, p, low) for p in range(13)] + [(m, 12, radius), (m, 13, radius)]
+    shared = ModelGeometry(rho)
+    for m, p, r in rows:
+        assert _moment_bits(shared, m, p, r) == _moment_bits(ModelGeometry(rho), m, p, r), (m, p, r)
+
+
+def _integer_calls(geom, m, rows, monkeypatch):
+    """Per (p, radius) of rows, in order: the p! and rising products that its moment formed."""
+    counting, rising, calls = _CountingMath(), [], []
+    real = quadrature._rising_product
+
+    def counted(*args):
+        rising.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(quadrature, "math", counting)
+    monkeypatch.setattr(quadrature, "_rising_product", counted)
+    for p, radius in rows:
+        factorials, products = counting.factorials, len(rising)
+        lambda_inv_sq(geom, m, p, radius)
+        calls.append((counting.factorials - factorials, len(rising) - products))
+    return calls
+
+
+@pytest.mark.parametrize("rho", [-2.0, 0.0, 0.5])
+def test_a_run_forms_its_integers_once(rho, monkeypatch):
+    # p! and the rising product of a row follow from row p - 1's by one factor each
+    m = 10**4
+    radius = truncation_radius(m)
+    calls = _integer_calls(ModelGeometry(rho), m, [(p, radius) for p in range(41)], monkeypatch)
+    assert calls == [(1, 1)] + [(0, 0)] * 40
+    # a row that Q > 1/2 declines (x = b y near 5 at p = 20) forms none and keeps none
+    rows = [(p, radius) for p in range(21)] + [(20, math.sqrt(5.0 / m))]
+    rows += [(p, radius) for p in range(21, 41)]
+    calls = _integer_calls(ModelGeometry(rho), m, rows, monkeypatch)
+    assert calls == [(1, 1)] + [(0, 0)] * 21 + [(1, 1)] + [(0, 0)] * 19
 
 
 def test_routes_return_radial_moments():
