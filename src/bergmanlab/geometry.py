@@ -27,7 +27,6 @@ U = 2.0**-53  # unit roundoff of a double
 
 class ModelGeometry:
     """The curvature rho, n/d = |rho| exactly, the exponent -2/rho of a, and its disk's radius;
-    last holds the (r, record) of its last log_conformal_factor call that passed the disk test,
     row the last moment row that quadrature's complement answered, for the next degree to resume."""
 
     def __init__(self, rho: float) -> None:
@@ -39,7 +38,6 @@ class ModelGeometry:
         if math.isinf(self.c):
             self.c, self.scale = -2.0 / (rho * 2.0**64), 2.0**64
         self.max_radius = math.sqrt(self.c) * math.sqrt(self.scale) if rho < 0 else math.inf
-        self.last = (math.nan, None)  # NaN equals no radius
         self.row = None
 
 
@@ -48,15 +46,7 @@ def log_conformal_factor(geom: ModelGeometry, r: float) -> tuple[float, float, f
 
     w halves r, since halving a subnormal rho drops its last bit; below w = -1/2,
     1 + w is formed exactly.
-
-    A table of moments takes every degree at one radius, so geom.last keeps the last
-    (r, record) and an equal r returns that record.  The record depends only on (rho, r)
-    (r = 0.0 and -0.0 give the same bits; NaN equals no r), and one attribute assignment
-    swaps it, so no reader pairs an r with another r's record.
     """
-    last_r, record = geom.last
-    if r == last_r:  # last_r passed the disk test
-        return record
     if r < 0 or not r < geom.max_radius:
         raise ValueError(f"radius {r!r} outside model disk of radius {geom.max_radius!r}")
     w = geom.rho * (0.5 * r) * r
@@ -65,9 +55,7 @@ def log_conformal_factor(geom: ModelGeometry, r: float) -> tuple[float, float, f
     else:
         log1p_w = math.log(1 + Fraction(geom.rho) * Fraction(r) ** 2 / 2)
     # below |w| = u, log a = -r^2 log1p(w) / w is -r^2 to within |w| / 2 < u / 2
-    record = w, log1p_w, (-r * r if abs(w) < U else geom.c * log1p_w * geom.scale)
-    geom.last = r, record
-    return record
+    return w, log1p_w, (-r * r if abs(w) < U else geom.c * log1p_w * geom.scale)
 
 
 def log_metric_density(geom: ModelGeometry, r: float) -> float:

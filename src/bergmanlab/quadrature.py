@@ -62,7 +62,8 @@ renormalizing every term and running to p returns, by three facts (u = 2^-53):
   above ulp(s)/2.  So every term after the first that rounds away does too.
 
 Consecutive degrees at one (m, R) share their work: geom.row keeps the last
-answered row's (m, R, p), its p!, its den_p = prod_{k<=p} (top + n k), and Q's
+answered row's (m, R, p), R's log_conformal_factor record (a function of (rho, R),
+read by any row at that R), its p!, its den_p = prod_{k<=p} (top + n k), and Q's
 (t, s, scale, j), j = infinity once the sum stopped.  Row p, after row p - 1 at
 the same (m, R) on the same geometry, takes p! = (p - 1)! p and den_p = den_(p-1)
 (top + n p) at rho <= 0, where top = 2md - n (2md at rho = 0) does not depend on
@@ -70,9 +71,8 @@ p, or den_p = top_p den_(p-1) at rho > 0, where top_p = top_(p-1) - n.  At rho <
 b = top/n and z (y = |w|, or x = (top/2d) R^2) do not depend on p either, so Q's
 sum takes its p-th step from row p - 1's state, or none once stopped (by the third
 fact all later terms round away).  The integers are exact and the steps are a
-fresh loop's, in its order.  The state is a function of (rho, m, R, p), and only
-an answered row writes it (a declined row clears it), so every call returns the
-same bits in any order of calls.
+fresh loop's, in its order.  The state is a function of (rho, m, R, p) and only an
+answered row writes it, so every call returns the same bits in any order of calls.
 
 abs_err is a proven bound: Higham's gamma_n = n u / (1 - n u), u = 2^-53
 (gamma_(5p+2) formed in _complement), over the float roundings done (exp, log,
@@ -132,20 +132,21 @@ def _complement(geom: ModelGeometry, m: int, p: int, radius: float,
                 top: int) -> RadialMoment | None:
     """P (1 - Q) and its bound in floats, or None where Q > 1/2; top = n b > 0, n/d = |rho|.
 
-    geom.row is (m, R, p, p!, den_p, Q's (t, s, scale, j)) of the last row answered
-    here, or None after a declined row; row p at its (m, R) resumes row p - 1 from it.
+    geom.row is (m, R, p, R's record, p!, den_p, Q's (t, s, scale, j)) of the last row
+    answered here; a row at its R reads the record, row p at its (m, R) resumes row p - 1.
     """
     n, d = geom.n, geom.d
     row = geom.row
-    resume = row is not None and row[2] == p - 1 and row[1] == radius and row[0] == m
-    w, log1p_w, log_a = log_conformal_factor(geom, radius)
+    same_radius = row is not None and row[1] == radius  # R passed the disk test there
+    resume = same_radius and row[2] == p - 1 and row[0] == m
+    w, log1p_w, log_a = record = row[3] if same_radius else log_conformal_factor(geom, radius)
     abs_w, u = abs(w), w if w > 0.0 else 0.0  # u, or 0 where rho <= 0
     m_log_a, half_log_g, p_log1p_u = m * log_a, -log1p_w, p * log1p_w if log1p_w > 0.0 else 0.0
     b = top / n if top >> 1022 < n else None
     z = (abs_w if b is not None else top / (2 * d) * (radius * radius)) / (1.0 + u)  # y or b y
     base = math.fsum((m_log_a, half_log_g, p_log1p_u))
     # j is a float: below 2^53, b + j - 1.0 and z / j round as with an int j
-    t, s, scale, j = row[5] if resume and geom.rho <= 0 else (1.0, 1.0, 0, 0.0)
+    t, s, scale, j = row[6] if resume and geom.rho <= 0 else (1.0, 1.0, 0, 0.0)
     while j < p:
         j += 1.0
         t *= z / j if b is None else (b + j - 1.0) * z / j
@@ -160,7 +161,6 @@ def _complement(geom: ModelGeometry, m: int, p: int, radius: float,
     log_s = math.log(frac) + (scale + e) * LN2
     log_q = base + log_s
     if log_q > -LN2:
-        geom.row = None
         return None
     # log Q: the boundary log; log(1 + w) moved by the rounding of w (or of the exact
     # 1 + w near the disk's edge), times (2m/|rho| + 1 + p) min(|w|, 1) = (m R^2 +
@@ -188,10 +188,10 @@ def _complement(geom: ModelGeometry, m: int, p: int, radius: float,
     rel = q_hi / (1.0 - q_hi) * log_err + G2  # of 1 - Q, with expm1's rounding
     qn, qd = (-math.expm1(log_q)).as_integer_ratio()
     if resume:  # top_p = top_(p-1) - n at rho > 0
-        fact, den = row[3] * p, row[4] * (top if geom.rho > 0 else top + n * p)
+        fact, den = row[4] * p, row[5] * (top if geom.rho > 0 else top + n * p)
     else:
         fact, den = math.factorial(p), _rising_product(top, n, p + 1)  # top + n k for k < a
-    geom.row = m, radius, p, fact, den, (t, s, scale, j)
+    geom.row = m, radius, p, record, fact, den, (t, s, scale, j)
     num = fact * qn
     # (2d)^a / qd, d and qd being powers of two, as one shift
     shift = (p + 1) * d.bit_length() - qd.bit_length() + 1

@@ -24,9 +24,12 @@ inputs hold that product within 4 ulps below the largest double, where Q's sum
 starts from x above 2^1023; the other 16 entries kept their bytes.  The 18th
 (10,600 inputs in all), moment_table_shared_geometry, was generated from the
 source before log_conformal_factor kept its last (r, record) on the ModelGeometry,
-and that change kept its digest: tables p = 0..k through one geometry per rho, two
-interleaved, whose reached count is the calls at the radius of the previous
-log_conformal_factor call on the same geometry; the other 17 entries kept their bytes.
+and that change kept its digest, as did the one that replaced that memo by the
+record in _complement's row: tables p = 0..k through one geometry per rho,
+two interleaved, whose reached count is the _complement calls at the radius of the
+previous _complement call on the same geometry, noted as each call starts (until the
+memo went, each of them began with one log_conformal_factor call); the other 17
+entries kept their bytes.
 The 19th (11,100 inputs in all), moment_q_sum_stops, was generated from the source
 before Q's sum in _complement stopped at its first term that rounds away: rows that
 Q > 1/2 declines, whose reached count is those with p >= 2x + 60, x = b y as the
@@ -51,7 +54,7 @@ import weakref
 from contextlib import contextmanager
 from pathlib import Path
 
-from bergmanlab import density, quadrature
+from bergmanlab import density, geometry, quadrature
 from bergmanlab.geometry import ModelGeometry
 
 PATH = Path(__file__).parent / "data" / "bit_corpus.json"
@@ -71,10 +74,11 @@ class _RecordingMax(float):
         return past
 
 
-def _wrap(module, name, note):
+def _wrap(module, name, note, enter=lambda args: None):
     real = getattr(module, name)
 
     def wrapped(*args):
+        enter(args)
         result = real(*args)
         note(args, result)
         return result
@@ -86,6 +90,12 @@ def _wrap(module, name, note):
 def probed():
     """Wrap the private routes; the dict yielded records which branches the last input took."""
     seen = {}
+    last = {}  # each geometry's radius at its last _complement call
+
+    def enter_complement(args):  # before the call, so one that raises counts too
+        geom, radius = args[0], args[3]
+        seen["w"] = geometry.log_conformal_factor(geom, radius)[0]
+        seen["same_radius"], last[geom] = last.get(geom) == radius, radius
 
     def complement(args, result):
         geom, m, p, radius, top = args
@@ -94,13 +104,6 @@ def probed():
         if p:  # the Q loop ran on x = b y, formed as _complement forms it at b >= 2^1022
             seen["x"] = top / (2 * geom.d) * (radius * radius) / (1.0 + max(seen["w"], 0.0))
 
-    last = {}  # each geometry's radius at its last log_conformal_factor call
-
-    def factor(args, result):
-        geom, r = args
-        seen["w"], seen["same_radius"] = result[0], last.get(geom) == r
-        last[geom] = r
-
     def log_tail(args, result):
         seen["log_t"] = result
 
@@ -108,14 +111,13 @@ def probed():
         seen["walk"] = args  # m, s, k0, term, j
 
     patches = [
-        (quadrature, "_complement", complement),
+        (quadrature, "_complement", complement, enter_complement),
         (quadrature, "_series", lambda args, result: seen.setdefault("series", True)),
         (quadrature, "_binomial_piece", lambda args, result: seen.setdefault("binomial", True)),
-        (quadrature, "log_conformal_factor", factor),
         (density, "lambda0_log_tail", log_tail),
         (density, "_cp1_walk", walk),
     ]
-    saved = [(module, name, *_wrap(module, name, note)) for module, name, note in patches]
+    saved = [(module, name, *_wrap(module, name, *notes)) for module, name, *notes in patches]
     limit = _RecordingMax(DBL_MAX)
     limit.seen = seen
     saved.append((quadrature, "DBL_MAX", quadrature.DBL_MAX, limit))

@@ -6,6 +6,7 @@ import mpmath
 import pytest
 from hypothesis import given, strategies as st
 
+from bergmanlab import cutoff
 from bergmanlab.geometry import (
     ModelGeometry,
     curvature_residual,
@@ -137,8 +138,8 @@ def _factor_bits(geom, r):
 
 @pytest.mark.parametrize("rho", SHARED_RHOS)
 def test_stored_record_matches_a_fresh_geometry(rho):
-    # geom.last serves repeated radii; a refused radius between two equal ones
-    # leaves it, and |w| < 2^-53 at r = 1e-170 and w < -1/2 at rho = -2 come back too
+    # repeated radii on one geometry, a refused radius between two equal ones, and
+    # |w| < 2^-53 at r = 1e-170 and w < -1/2 at rho = -2, give a fresh geometry's bits
     edge = ModelGeometry(rho).max_radius
     near = [0.9, 1.0 - 1e-9, math.nextafter(1.0, 0.0)] if rho == -2.0 else [3.0]
     refused = [-0.3, math.nan, math.inf, edge if math.isfinite(edge) else 1e300]
@@ -154,6 +155,23 @@ def test_signed_zero_radius_shares_its_record(rho, order):
     shared = ModelGeometry(rho)
     for r in order:
         assert _factor_bits(shared, r) == _factor_bits(ModelGeometry(rho), r)
+
+
+@pytest.mark.parametrize("rho", SHARED_RHOS)
+def test_conformal_factor_leaves_its_geometry_as_it_found_it(rho):
+    geom = ModelGeometry(rho)
+    edge = geom.max_radius
+    before = dict(vars(geom))
+    for r in (0.3, 0.3, 1e-170, 0.0, -0.0, 0.9 if rho == -2.0 else 3.0, -0.3, math.nan,
+              math.inf, edge if math.isfinite(edge) else 1e300):
+        _factor_bits(geom, r)
+        assert vars(geom) == before, r
+
+
+def test_hessian_check_leaves_its_disk_as_it_found_it():
+    before = dict(vars(cutoff._UNIT_DISK))
+    cutoff.psi_hessian_bound_check(1000, 2, cutoff.C1_PROFILE)
+    assert vars(cutoff._UNIT_DISK) == before
 
 
 @pytest.mark.parametrize("rho", [-1e-308, -1e-320, -5e-324])

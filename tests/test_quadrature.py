@@ -696,35 +696,47 @@ def test_degree_runs_in_any_order_match_fresh_geometries(rho):
 
 
 def _integer_calls(geom, m, rows, monkeypatch):
-    """Per (p, radius) of rows, in order: the p! and rising products that its moment formed."""
-    counting, rising, calls = _CountingMath(), [], []
-    real = quadrature._rising_product
+    """Per (p, radius) of rows, in order: the p!, rising products and conformal factors
+    that its moment formed."""
+    counting, rising, factors, calls = _CountingMath(), [], [], []
 
-    def counted(*args):
-        rising.append(args)
-        return real(*args)
+    def counted(log, real):
+        def wrapped(*args):
+            log.append(args)
+            return real(*args)
+        return wrapped
 
     monkeypatch.setattr(quadrature, "math", counting)
-    monkeypatch.setattr(quadrature, "_rising_product", counted)
+    monkeypatch.setattr(quadrature, "_rising_product", counted(rising, quadrature._rising_product))
+    monkeypatch.setattr(quadrature, "log_conformal_factor", counted(factors, log_conformal_factor))
+
+    def counts():
+        return counting.factorials, len(rising), len(factors)
+
     for p, radius in rows:
-        factorials, products = counting.factorials, len(rising)
+        before = counts()
         lambda_inv_sq(geom, m, p, radius)
-        calls.append((counting.factorials - factorials, len(rising) - products))
+        calls.append(tuple(after - was for after, was in zip(counts(), before)))
     return calls
 
 
 @pytest.mark.parametrize("rho", [-2.0, 0.0, 0.5])
 def test_a_run_forms_its_integers_once(rho, monkeypatch):
-    # p! and the rising product of a row follow from row p - 1's by one factor each
+    # p! and the rising product of a row follow from row p - 1's by one factor each,
+    # and its conformal-factor record is row p - 1's
     m = 10**4
     radius = truncation_radius(m)
     calls = _integer_calls(ModelGeometry(rho), m, [(p, radius) for p in range(41)], monkeypatch)
-    assert calls == [(1, 1)] + [(0, 0)] * 40
-    # a row that Q > 1/2 declines (x = b y near 5 at p = 20) forms none and keeps none
+    assert calls == [(1, 1, 1)] + [(0, 0, 0)] * 40
+    # a row that Q > 1/2 declines (x = b y near 5 at p = 20) forms its own radius's factor
+    # but no integers, and leaves the run to resume at p = 21
     rows = [(p, radius) for p in range(21)] + [(20, math.sqrt(5.0 / m))]
     rows += [(p, radius) for p in range(21, 41)]
     calls = _integer_calls(ModelGeometry(rho), m, rows, monkeypatch)
-    assert calls == [(1, 1)] + [(0, 0)] * 21 + [(1, 1)] + [(0, 0)] * 19
+    assert calls == [(1, 1, 1)] + [(0, 0, 0)] * 20 + [(0, 0, 1)] + [(0, 0, 0)] * 20
+    # a table at that radius, declined from p = 5 on, reads the record of its last answered row
+    rows = [(p, math.sqrt(5.0 / m)) for p in range(41)]
+    assert _integer_calls(ModelGeometry(rho), m, rows, monkeypatch) == [(1, 1, 1)] + [(0, 0, 0)] * 40
 
 
 def test_routes_return_radial_moments():
