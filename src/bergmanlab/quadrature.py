@@ -204,17 +204,12 @@ def _complement(geom: ModelGeometry, m: int, p: int, radius: float,
 def _rising_product(top: int, n: int, count: int) -> int:
     """top (top + n) ... (top + n (count - 1)), exactly.
 
-    A loop takes one factor at a time, quadratic in the product's size; above
-    32 factors the two halves are formed first, so the large products are
-    balanced and CPython multiplies them by Karatsuba.  1531 factors of 1050
-    bits took 1.16 s one at a time and take 0.16 s so (2-core Intel Xeon).
+    The halves are formed first, down to single factors, so the large products
+    are balanced and CPython multiplies them by Karatsuba: 1531 factors of 1051
+    bits take 0.18 s so and 1.43 s one at a time (2-core Intel Xeon).
     """
-    if count <= 32:
-        product = factor = top
-        for _ in range(count - 1):
-            factor += n
-            product *= factor
-        return product
+    if count == 1:
+        return top
     half = count // 2
     return _rising_product(top, n, half) * _rising_product(top + n * half, n, count - half)
 
@@ -238,7 +233,7 @@ def _log(q: Fraction) -> Decimal:
         if gap * 10**50 < 1:
             return -_dec(gap)
         ctx.prec += k
-        return (Decimal(q.numerator) / q.denominator).ln()
+        return _dec(q).ln()
 
 
 def _lower_series(a: int, x: Decimal, z: Decimal) -> tuple[Decimal, int, Decimal]:
@@ -307,8 +302,9 @@ def _series(geom: ModelGeometry, p: int, radius: float, top: int) -> RadialMomen
             piece, piece_err = _binomial_piece(p, Fraction(top, n), 1 - y, h)
             exact += c_a * piece
             err += c_a * piece_err + UD * exact
-    num, den = exact.as_integer_ratio()
-    value = num / den  # correctly rounded
+    value = float(exact)  # correctly rounded, through the decimal string
+    if math.isinf(value):
+        raise OverflowError
     # tuple.__new__ is the C constructor that the namedtuple's Python __new__ calls
     return tuple.__new__(RadialMoment, (value, (U * value + float(err)) * (1.0 + G4) + TINY))
 

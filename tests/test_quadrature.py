@@ -1,8 +1,11 @@
+import decimal
 import math
 import random
 import re
 import sys
 import time
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import mpmath
@@ -635,6 +638,10 @@ def test_validation_errors():
         lambda_inv_sq(SPHERE, 10, 0, 1e160)  # R^2 beyond the float range
     with pytest.raises(ValueError, match="too large"):
         lambda_inv_sq(FLAT, 10**10, 2, 1e150)  # m R^2 beyond it
+    for rho in (0.0, 0.5):  # the lower series' Decimal past the largest double
+        with pytest.raises(ValueError, match=re.escape(
+                "moment at m=2, p=1000, radius=20.0 exceeds the double range")):
+            lambda_inv_sq(ModelGeometry(rho), 2, 1000, 20.0)
 
 
 @pytest.mark.parametrize("rho", [0.0, 0.5, -2.0])
@@ -737,6 +744,30 @@ def test_a_run_forms_its_integers_once(rho, monkeypatch):
     # a table at that radius, declined from p = 5 on, reads the record of its last answered row
     rows = [(p, math.sqrt(5.0 / m)) for p in range(41)]
     assert _integer_calls(ModelGeometry(rho), m, rows, monkeypatch) == [(1, 1, 1)] + [(0, 0, 0)] * 40
+
+
+def test_decimal_to_double_is_the_rounding_of_its_ratio():
+    # The lower series rounds its 50-digit Decimal with float(); this is the
+    # correctly rounded n / q of its exact ratio, or inf where that overflows.
+    rng = random.Random(50)
+    ranges = ((-5000, -330), (-330, -300), (-3, 3), (300, 309))  # far below, subnormal, 1, top
+    values = [quadrature.DEC.create_decimal(f"{rng.randrange(10**49, 10**50)}E{e - 49}")
+              for lo, hi in ranges for e in (rng.randrange(lo, hi) for _ in range(200))]
+    for x in (5e-324, 2.5e-320, DBL_MIN, 0.1, 1.0, 1e300):  # near the halfway point above x
+        half = (Fraction(x) + Fraction(math.nextafter(x, math.inf))) / 2
+        with decimal.localcontext(quadrature.DEC):
+            values.append(Decimal(half.numerator) / half.denominator)
+        values += [values[-1].next_minus(quadrature.DEC), values[-1].next_plus(quadrature.DEC)]
+    values += [Decimal("1.7976931348623158079372897140530341507993413271003E+308"),  # DBL_MAX
+               Decimal("1.7976931348623158079372897140530341507993413271004E+308")]  # inf
+    for d in values:
+        num, den = d.as_integer_ratio()
+        try:
+            want = num / den
+        except OverflowError:
+            want = math.inf
+        assert float(d).hex() == want.hex(), d
+    assert float(values[-2]) == sys.float_info.max and float(values[-1]) == math.inf
 
 
 def test_routes_return_radial_moments():
